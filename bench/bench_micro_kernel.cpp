@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the library's hot kernels: route
 // computation for the three algorithms, a full simulation cycle under
-// load, VL-selection optimization, CDG construction/verification, and the
+// load, VL-selection optimization, the design-time artifact builds (VL
+// tables, MTR plan), CDG construction/verification, and the
 // per-pattern reachability evaluation that Fig. 7 amortizes millions of
 // times.
 //
@@ -162,14 +163,27 @@ void BM_ReachabilityPerPattern(benchmark::State& state, Algorithm algorithm) {
 BENCHMARK_CAPTURE(BM_ReachabilityPerPattern, deft, Algorithm::deft);
 BENCHMARK_CAPTURE(BM_ReachabilityPerPattern, mtr, Algorithm::mtr);
 
-void BM_MtrPlanSynthesis(benchmark::State& state) {
-  const SystemSpec spec = make_reference_spec(4);
-  const Topology topo(spec);
+// The two design-time artifacts every ExperimentContext builds, on the
+// reference system with state.range(0) chiplets.
+void BM_VlTableBuild(benchmark::State& state) {
+  // All down/up tables: every fault mask of every chiplet, dominated by
+  // the exhaustive 2-alive-VL solves.
+  const Topology topo(make_reference_spec(static_cast<int>(state.range(0))));
+  for (auto _ : state) {
+    Rng rng(1);
+    benchmark::DoNotOptimize(SystemVlTables::build(topo, rng));
+  }
+}
+BENCHMARK(BM_VlTableBuild)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
+
+void BM_MtrPlan(benchmark::State& state) {
+  // Turn-restriction synthesis plus route and combination tables.
+  const Topology topo(make_reference_spec(static_cast<int>(state.range(0))));
   for (auto _ : state) {
     benchmark::DoNotOptimize(MtrPlan(topo));
   }
 }
-BENCHMARK(BM_MtrPlanSynthesis)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MtrPlan)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------------
 // Perf-matrix harness (--perf-json): the tracked end-to-end numbers.

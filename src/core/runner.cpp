@@ -19,8 +19,10 @@ ExperimentContext ExperimentContext::reference(int num_chiplets,
 
 namespace {
 // Guards all contexts' lazy artifact construction. A process-wide mutex
-// (rather than a member) keeps ExperimentContext copyable; contention is
-// irrelevant next to the cost of a build or a simulation.
+// (rather than a member) keeps ExperimentContext copyable. It is held for
+// the whole build, so contexts build one at a time; that costs little
+// because a build is short next to a simulation (reference systems: VL
+// tables ~20 ms, an MTR plan ~10 ms for 4 chiplets and ~0.4 s for 6).
 std::mutex& lazy_init_mutex() {
   static std::mutex mu;
   return mu;

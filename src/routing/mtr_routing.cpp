@@ -84,12 +84,16 @@ int credit_class(const RouterView& view, std::uint8_t port) {
 }  // namespace
 
 MtrPlan::MtrPlan(const Topology& topo) : topo_(&topo) {
+  require(topo.num_vls() <= 64,
+          "MtrPlan: at most 64 vertical links (leg tables are 64-bit VL "
+          "masks)");
   endpoint_index_.assign(static_cast<std::size_t>(topo.num_nodes()), -1);
   for (std::size_t i = 0; i < topo.endpoints().size(); ++i) {
     endpoint_index_[static_cast<std::size_t>(topo.endpoints()[i])] =
         static_cast<int>(i);
   }
-  synthesize_restrictions();
+  const SynthesisGraphs graphs = make_synthesis_graphs();
+  synthesize_restrictions(graphs);
   line_graph_ = std::make_unique<LineGraph>(
       topo, [this](const Topology&, const Channel& in, const Channel& out) {
         return turn_allowed(in.id, out.id);
@@ -97,7 +101,7 @@ MtrPlan::MtrPlan(const Topology& topo) : topo_(&topo) {
   check(connectivity_preserved(),
         "MtrPlan: synthesis broke endpoint connectivity");
   build_route_tables();
-  build_pair_combos();
+  build_pair_combos(graphs);
 }
 
 bool MtrPlan::turn_allowed(ChannelId in, ChannelId out) const {
@@ -109,20 +113,18 @@ bool MtrPlan::turn_allowed(ChannelId in, ChannelId out) const {
   return forbidden_.find(turn_key(in, out)) == forbidden_.end();
 }
 
-std::vector<std::vector<int>> MtrPlan::channel_turn_adjacency() const {
-  std::vector<std::vector<int>> adj(
-      static_cast<std::size_t>(topo_->num_channels()));
-  for (ChannelId in = 0; in < topo_->num_channels(); ++in) {
-    const Channel& cin = topo_->channel(in);
-    for (int p = 0; p < kNumPorts; ++p) {
-      const ChannelId out =
-          topo_->out_channel(cin.dst, static_cast<Port>(p));
-      if (out != kInvalidChannel && turn_allowed(in, out)) {
-        adj[static_cast<std::size_t>(in)].push_back(out);
+void MtrPlan::channel_turn_adjacency(
+    const SynthesisGraphs& graphs,
+    std::vector<std::vector<int>>& adj) const {
+  adj.resize(graphs.turns.size());
+  for (std::size_t in = 0; in < graphs.turns.size(); ++in) {
+    adj[in].clear();
+    for (int out : graphs.turns[in]) {
+      if (!restricted(graphs, static_cast<int>(in), out)) {
+        adj[in].push_back(out);
       }
     }
   }
-  return adj;
 }
 
 bool MtrPlan::connectivity_preserved() const {
@@ -160,15 +162,17 @@ bool MtrPlan::connectivity_preserved() const {
   return true;
 }
 
-bool MtrPlan::try_synthesize(Rng* shuffle) {
+bool MtrPlan::try_synthesize(const SynthesisGraphs& graphs, Rng* shuffle) {
   // Greedy cycle breaking: while the channel turn graph has a cycle, forbid
   // one restrictable turn on it whose removal keeps every endpoint pair
   // connected. Cycles cannot live inside a single mesh (XY is acyclic), so
   // every cycle crosses a vertical channel and offers restrictable turns.
   forbidden_.clear();
+  std::vector<std::vector<int>> adj;
   while (true) {
     std::vector<int> cycle;
-    if (is_acyclic(channel_turn_adjacency(), &cycle)) {
+    channel_turn_adjacency(graphs, adj);
+    if (is_acyclic(adj, &cycle)) {
       return true;
     }
     std::vector<std::pair<ChannelId, ChannelId>> candidates;
@@ -187,7 +191,7 @@ bool MtrPlan::try_synthesize(Rng* shuffle) {
     bool restricted = false;
     for (const auto& [a, b] : candidates) {
       forbidden_.insert(turn_key(a, b));
-      if (leg_connectivity_ok(compute_leg_tables())) {
+      if (leg_connectivity_ok(compute_leg_tables(graphs))) {
         restricted = true;
         break;
       }
@@ -199,17 +203,17 @@ bool MtrPlan::try_synthesize(Rng* shuffle) {
   }
 }
 
-void MtrPlan::synthesize_restrictions() {
+void MtrPlan::synthesize_restrictions(const SynthesisGraphs& graphs) {
   // First-fit order is deterministic and usually converges; when it wedges
   // (every restrictable turn on some cycle has become load-bearing),
   // restart with seeded random candidate orders. The seed sequence is
   // fixed, so the resulting plan is still deterministic per topology.
-  if (try_synthesize(nullptr)) {
+  if (try_synthesize(graphs, nullptr)) {
     return;
   }
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     Rng rng(seed);
-    if (try_synthesize(&rng)) {
+    if (try_synthesize(graphs, &rng)) {
       return;
     }
   }
@@ -259,42 +263,85 @@ std::uint16_t MtrPlan::distance(int line_node, NodeId dst) const {
   return dist_[static_cast<std::size_t>(d)][static_cast<std::size_t>(line_node)];
 }
 
-MtrPlan::LegTables MtrPlan::compute_leg_tables() const {
+MtrPlan::SynthesisGraphs MtrPlan::make_synthesis_graphs() const {
   // Inter-chiplet MTR routes cross exactly once: source mesh -> one down
   // VL -> interposer -> one up VL -> destination mesh. Each leg is
   // explored on a graph that forbids any other vertical channel, so a
   // combination recorded here never silently depends on a third vertical
   // channel: combo-alive implies deliverable under the fault pattern.
   const auto leg_graph = [this](auto edge_ok) {
-    return LineGraph(*topo_,
-                     [this, edge_ok](const Topology&, const Channel& in,
-                                     const Channel& out) {
-                       return edge_ok(in, out) && turn_allowed(in.id, out.id);
-                     });
+    return LineGraph(*topo_, [edge_ok](const Topology&, const Channel& in,
+                                       const Channel& out) {
+      return edge_ok(in, out) && initial_turn_allowed(in, out);
+    });
   };
-  // Source leg: walks may not continue past any vertical channel (the
-  // first vertical reached is the descent, or the ascent for interposer
-  // sources).
-  const LineGraph g_src = leg_graph(
-      [](const Channel& in, const Channel&) { return !is_vertical(in); });
-  // Interposer leg: down -> interposer horizontals -> up only.
-  const LineGraph g_mid = leg_graph([this](const Channel& in,
-                                           const Channel& out) {
-    const bool in_ih = is_horizontal(in.src_port) &&
-                       topo_->node(in.src).chiplet == kInterposer;
-    const bool out_ih = is_horizontal(out.src_port) &&
-                        topo_->node(out.src).chiplet == kInterposer;
-    if (in.src_port == Port::down) {
-      return out_ih || out.src_port == Port::up;
+  SynthesisGraphs graphs{
+      .turns = {},
+      // Source leg: walks may not continue past any vertical channel (the
+      // first vertical reached is the descent, or the ascent for
+      // interposer sources).
+      .src = leg_graph(
+          [](const Channel& in, const Channel&) { return !is_vertical(in); }),
+      // Interposer leg: down -> interposer horizontals -> up only.
+      .mid = leg_graph([this](const Channel& in, const Channel& out) {
+        const bool in_ih = is_horizontal(in.src_port) &&
+                           topo_->node(in.src).chiplet == kInterposer;
+        const bool out_ih = is_horizontal(out.src_port) &&
+                            topo_->node(out.src).chiplet == kInterposer;
+        if (in.src_port == Port::down) {
+          return out_ih || out.src_port == Port::up;
+        }
+        return in_ih && (out_ih || out.src_port == Port::up);
+      }),
+      // Destination leg: up -> destination-mesh horizontals -> ejection.
+      .dst = leg_graph([](const Channel& in, const Channel& out) {
+        return !is_vertical(out) &&
+               (in.src_port == Port::up || is_horizontal(in.src_port));
+      }),
+      .down_vl = {},
+      .up_vl = {},
+      .ej_endpoint = {},
+      .vertical = {},
+  };
+  // Same line-node id layout in all three graphs.
+  const std::size_t n = static_cast<std::size_t>(graphs.src.size());
+  graphs.down_vl.assign(n, kInvalidVl);
+  graphs.up_vl.assign(n, kInvalidVl);
+  for (const VerticalLink& vl : topo_->vls()) {
+    graphs.down_vl[static_cast<std::size_t>(vl.down_channel)] = vl.id;
+    graphs.up_vl[static_cast<std::size_t>(vl.up_channel)] = vl.id;
+  }
+  graphs.ej_endpoint.assign(n, -1);
+  for (std::size_t e = 0; e < topo_->endpoints().size(); ++e) {
+    graphs.ej_endpoint[static_cast<std::size_t>(
+        graphs.src.ejection_node(topo_->endpoints()[e]))] =
+        static_cast<int>(e);
+  }
+  graphs.vertical.assign(n, 0);
+  graphs.turns.resize(static_cast<std::size_t>(topo_->num_channels()));
+  for (ChannelId in = 0; in < topo_->num_channels(); ++in) {
+    const Channel& cin = topo_->channel(in);
+    graphs.vertical[static_cast<std::size_t>(in)] = is_vertical(cin) ? 1 : 0;
+    for (int p = 0; p < kNumPorts; ++p) {
+      const ChannelId out = topo_->out_channel(cin.dst, static_cast<Port>(p));
+      if (out != kInvalidChannel &&
+          initial_turn_allowed(cin, topo_->channel(out))) {
+        graphs.turns[static_cast<std::size_t>(in)].push_back(out);
+      }
     }
-    return in_ih && (out_ih || out.src_port == Port::up);
-  });
-  // Destination leg: up -> destination-mesh horizontals -> ejection.
-  const LineGraph g_dst = leg_graph([](const Channel& in, const Channel& out) {
-    return !is_vertical(out) &&
-           (in.src_port == Port::up || is_horizontal(in.src_port));
-  });
+  }
+  return graphs;
+}
 
+bool MtrPlan::restricted(const SynthesisGraphs& graphs, int in,
+                         int out) const {
+  return (graphs.vertical[static_cast<std::size_t>(in)] != 0 ||
+          graphs.vertical[static_cast<std::size_t>(out)] != 0) &&
+         forbidden_.find(turn_key(in, out)) != forbidden_.end();
+}
+
+MtrPlan::LegTables MtrPlan::compute_leg_tables(
+    const SynthesisGraphs& graphs) const {
   const std::size_t num_ep = topo_->endpoints().size();
   const std::size_t num_vls = static_cast<std::size_t>(topo_->num_vls());
   LegTables legs;
@@ -304,19 +351,22 @@ MtrPlan::LegTables MtrPlan::compute_leg_tables() const {
   legs.mid_ej.assign(num_vls, std::vector<char>(num_ep, 0));
   legs.dst_ej.assign(num_vls, std::vector<char>(num_ep, 0));
 
+  // Every table entry is a set (bitmask or flag) of what a walk reaches,
+  // so the walk order is irrelevant: skipping forbidden turns here yields
+  // exactly the tables of graphs built under the current restriction set.
   std::vector<char> seen;
-  std::deque<int> queue;
+  std::vector<int> queue;
   const auto bfs = [&](const LineGraph& g, int start, auto&& on_node) {
     seen.assign(static_cast<std::size_t>(g.size()), 0);
     queue.clear();
     queue.push_back(start);
     seen[static_cast<std::size_t>(start)] = 1;
-    while (!queue.empty()) {
-      const int cur = queue.front();
-      queue.pop_front();
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const int cur = queue[head];
       on_node(cur);
-      for (int next : g.successors(cur)) {
-        if (!seen[static_cast<std::size_t>(next)]) {
+      for (int next : g.successors_flat(cur)) {
+        if (!seen[static_cast<std::size_t>(next)] &&
+            !restricted(graphs, cur, next)) {
           seen[static_cast<std::size_t>(next)] = 1;
           queue.push_back(next);
         }
@@ -324,22 +374,12 @@ MtrPlan::LegTables MtrPlan::compute_leg_tables() const {
     }
   };
 
-  // Channel -> VL lookup for classification during the walks.
-  std::vector<VlId> down_vl(static_cast<std::size_t>(topo_->num_channels()),
-                            kInvalidVl);
-  std::vector<VlId> up_vl(static_cast<std::size_t>(topo_->num_channels()),
-                          kInvalidVl);
-  for (const VerticalLink& vl : topo_->vls()) {
-    down_vl[static_cast<std::size_t>(vl.down_channel)] = vl.id;
-    up_vl[static_cast<std::size_t>(vl.up_channel)] = vl.id;
-  }
-  // Ejection line node -> endpoint index (same id layout in all graphs).
-  std::vector<int> ej_endpoint(static_cast<std::size_t>(g_src.size()), -1);
-  for (std::size_t e = 0; e < num_ep; ++e) {
-    ej_endpoint[static_cast<std::size_t>(
-        g_src.ejection_node(topo_->endpoints()[e]))] = static_cast<int>(e);
-  }
-
+  const auto& down_vl = graphs.down_vl;
+  const auto& up_vl = graphs.up_vl;
+  const auto& ej_endpoint = graphs.ej_endpoint;
+  const LineGraph& g_src = graphs.src;
+  const LineGraph& g_mid = graphs.mid;
+  const LineGraph& g_dst = graphs.dst;
   for (std::size_t e = 0; e < num_ep; ++e) {
     bfs(g_src, g_src.injection_node(topo_->endpoints()[e]), [&](int cur) {
       if (!g_src.is_channel(cur)) {
@@ -381,49 +421,52 @@ MtrPlan::LegTables MtrPlan::compute_leg_tables() const {
 bool MtrPlan::leg_connectivity_ok(const LegTables& legs) const {
   // Every different-mesh endpoint pair must keep at least one
   // single-crossing route; same-mesh pairs ride plain (unrestricted) XY.
+  // Bitmasks by VlId turn each pair's search over (down, up) VL
+  // combinations into one AND: the VLs of each chiplet, and per
+  // destination the down VLs whose interposer leg ejects there and the up
+  // VLs whose destination leg does.
   const std::size_t num_ep = topo_->endpoints().size();
+  std::vector<std::uint64_t> chiplet_vls(
+      static_cast<std::size_t>(topo_->num_chiplets()), 0);
+  std::vector<std::uint64_t> downs_to(num_ep, 0);
+  std::vector<std::uint64_t> ups_to(num_ep, 0);
+  for (const VerticalLink& vl : topo_->vls()) {
+    const std::uint64_t bit = std::uint64_t{1} << vl.id;
+    chiplet_vls[static_cast<std::size_t>(vl.chiplet)] |= bit;
+    const auto id = static_cast<std::size_t>(vl.id);
+    for (std::size_t d = 0; d < num_ep; ++d) {
+      if (legs.mid_ej[id][d] != 0) {
+        downs_to[d] |= bit;
+      }
+      if (legs.dst_ej[id][d] != 0) {
+        ups_to[d] |= bit;
+      }
+    }
+  }
   for (std::size_t s = 0; s < num_ep; ++s) {
     const int src_chiplet = topo_->node(topo_->endpoints()[s]).chiplet;
+    // A chiplet source descends through `downs`; those descents reach
+    // the interposer ascents `ups`. An interposer source ascends directly.
+    std::uint64_t downs = 0;
+    std::uint64_t ups = legs.src_ups[s];
+    if (src_chiplet != kInterposer) {
+      downs = legs.src_downs[s] &
+              chiplet_vls[static_cast<std::size_t>(src_chiplet)];
+      ups = 0;
+      for (std::uint64_t m = downs; m != 0; m &= m - 1) {
+        ups |= legs.mid_ups[static_cast<std::size_t>(std::countr_zero(m))];
+      }
+    }
     for (std::size_t d = 0; d < num_ep; ++d) {
       const int dst_chiplet = topo_->node(topo_->endpoints()[d]).chiplet;
       if (s == d || src_chiplet == dst_chiplet) {
         continue;
       }
-      bool connected = false;
-      if (src_chiplet != kInterposer && dst_chiplet != kInterposer) {
-        for (VlId dn : topo_->chiplet_vls(src_chiplet)) {
-          if ((legs.src_downs[s] & (std::uint64_t{1} << dn)) == 0) {
-            continue;
-          }
-          for (VlId up : topo_->chiplet_vls(dst_chiplet)) {
-            if ((legs.mid_ups[static_cast<std::size_t>(dn)] &
-                 (std::uint64_t{1} << up)) != 0 &&
-                legs.dst_ej[static_cast<std::size_t>(up)][d] != 0) {
-              connected = true;
-              break;
-            }
-          }
-          if (connected) {
-            break;
-          }
-        }
-      } else if (dst_chiplet == kInterposer) {
-        for (VlId dn : topo_->chiplet_vls(src_chiplet)) {
-          if ((legs.src_downs[s] & (std::uint64_t{1} << dn)) != 0 &&
-              legs.mid_ej[static_cast<std::size_t>(dn)][d] != 0) {
-            connected = true;
-            break;
-          }
-        }
-      } else {
-        for (VlId up : topo_->chiplet_vls(dst_chiplet)) {
-          if ((legs.src_ups[s] & (std::uint64_t{1} << up)) != 0 &&
-              legs.dst_ej[static_cast<std::size_t>(up)][d] != 0) {
-            connected = true;
-            break;
-          }
-        }
-      }
+      const bool connected =
+          dst_chiplet == kInterposer
+              ? (downs & downs_to[d]) != 0
+              : (ups & chiplet_vls[static_cast<std::size_t>(dst_chiplet)] &
+                 ups_to[d]) != 0;
       if (!connected) {
         return false;
       }
@@ -432,13 +475,13 @@ bool MtrPlan::leg_connectivity_ok(const LegTables& legs) const {
   return true;
 }
 
-void MtrPlan::build_pair_combos() {
+void MtrPlan::build_pair_combos(const SynthesisGraphs& graphs) {
   // Reachability semantics for Fig. 7: a pair survives a fault pattern
   // when MTR, keeping its design-time turn restrictions but aware of the
   // faults, can still deliver through some single-crossing route whose
   // two vertical channels are alive. The synthesis guaranteed at least
   // one combination per pair fault-free (leg_connectivity_ok).
-  const LegTables legs = compute_leg_tables();
+  const LegTables legs = compute_leg_tables(graphs);
   const std::size_t num_ep = topo_->endpoints().size();
   combos_.assign(num_ep * num_ep, 0);
   for (std::size_t s = 0; s < num_ep; ++s) {
@@ -501,6 +544,8 @@ MtrRouting::MtrRouting(std::shared_ptr<const MtrPlan> plan, VlFaultSet faults,
 }
 
 void MtrRouting::set_faults(const VlFaultSet& faults) {
+  static_assert(kMaxVlsPerChiplet <= 8,
+                "alive VL masks and pair combo bits hold 8 VLs per chiplet");
   faults_ = faults;
   const Topology& topo = plan_->topo();
   alive_down_.clear();

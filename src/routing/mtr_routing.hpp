@@ -28,6 +28,7 @@ namespace deft {
 /// restrictions, per-destination minimal-route tables, and the
 /// vertical-channel combinations each endpoint pair can use (for fault
 /// reachability analysis). Immutable and shared across fault scenarios.
+/// Requires at most 64 VLs system-wide (16 four-VL chiplets).
 class MtrPlan {
  public:
   explicit MtrPlan(const Topology& topo);
@@ -85,14 +86,42 @@ class MtrPlan {
     std::vector<std::vector<char>> dst_ej;
   };
 
-  void synthesize_restrictions();
-  bool try_synthesize(Rng* shuffle);
+  /// The graphs synthesis searches, built once per plan from the
+  /// pre-synthesis turn rule: the channel turn adjacency and the three
+  /// leg graphs compute_leg_tables() walks. Users skip the turns synthesis
+  /// has forbidden since, so one set of graphs serves every candidate
+  /// restriction set.
+  struct SynthesisGraphs {
+    /// Per channel: successor channels in port order.
+    std::vector<std::vector<int>> turns;
+    LineGraph src;  ///< source mesh up to the first vertical channel
+    LineGraph mid;  ///< down VL -> interposer horizontals -> up VL
+    LineGraph dst;  ///< up VL -> destination-mesh horizontals -> ejection
+    /// Per line node: the VL whose down / up channel it is, or kInvalidVl.
+    std::vector<VlId> down_vl;
+    std::vector<VlId> up_vl;
+    /// Per line node: the endpoint index of an ejection node, else -1.
+    std::vector<int> ej_endpoint;
+    /// Per line node: a vertical channel (synthesis only forbids turns
+    /// that touch one).
+    std::vector<char> vertical;
+  };
+
+  SynthesisGraphs make_synthesis_graphs() const;
+  /// True when synthesis has forbidden the turn between line nodes
+  /// `in` -> `out`.
+  bool restricted(const SynthesisGraphs& graphs, int in, int out) const;
+  void synthesize_restrictions(const SynthesisGraphs& graphs);
+  bool try_synthesize(const SynthesisGraphs& graphs, Rng* shuffle);
   void build_route_tables();
-  void build_pair_combos();
-  LegTables compute_leg_tables() const;
+  void build_pair_combos(const SynthesisGraphs& graphs);
+  LegTables compute_leg_tables(const SynthesisGraphs& graphs) const;
   bool leg_connectivity_ok(const LegTables& legs) const;
 
-  std::vector<std::vector<int>> channel_turn_adjacency() const;
+  /// The allowed channel turns under the current restriction set, written
+  /// into `adj` (reusing its capacity).
+  void channel_turn_adjacency(const SynthesisGraphs& graphs,
+                              std::vector<std::vector<int>>& adj) const;
   bool connectivity_preserved() const;
 
   const Topology* topo_;

@@ -1,5 +1,9 @@
 // Builders for the reference 2.5D systems evaluated in the DeFT paper and
 // small systems used by tests and examples.
+//
+// A hand-written SystemSpec may give each chiplet 1 to kMaxVlsPerChiplet
+// (8) vertical links; the Topology constructor rejects more, because the
+// per-chiplet fault masks and MTR's combination bits hold 8 VLs.
 #pragma once
 
 #include "topology/topology.hpp"

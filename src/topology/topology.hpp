@@ -102,11 +102,17 @@ struct VerticalLink {
   VlChannelId up_vl_channel() const { return 2 * id + 1; }
 };
 
+/// Most VLs one chiplet may have. Per-chiplet VL fault masks and MTR's
+/// down/up combination bits (down * 8 + up in 64 bits) hold one bit per
+/// VL in 8 bits; Topology rejects specs with more.
+inline constexpr int kMaxVlsPerChiplet = 8;
+
 struct ChipletSpec {
   int width = 4;
   int height = 4;
   Coord origin;                     ///< top-left corner on the interposer grid
-  std::vector<Coord> vl_positions;  ///< boundary-router coords (chiplet-local)
+  std::vector<Coord> vl_positions;  ///< boundary-router coords (chiplet-local),
+                                    ///< 1..kMaxVlsPerChiplet of them
 };
 
 struct SystemSpec {

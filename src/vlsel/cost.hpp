@@ -35,6 +35,9 @@ struct VlSelectionProblem {
   /// True when every router has the same traffic rate (enables the exact
   /// composition-based solver).
   bool traffic_is_uniform() const;
+
+  friend bool operator==(const VlSelectionProblem&,
+                         const VlSelectionProblem&) = default;
 };
 
 /// A selection: selection[r] is the index into problem.vls chosen for

@@ -21,28 +21,70 @@ VlSelectionResult solve_exhaustive(const VlSelectionProblem& p,
             "solve_exhaustive: V^R exceeds the state budget");
   }
 
+  // Depth-first enumeration of all V^R selections in lexicographic order
+  // (router 0 most significant). Each level adds its router to the per-VL
+  // load and distance sums, so a leaf holds exactly the sums vl_load() and
+  // vl_distance_cost() accumulate in router order, and scores them with
+  // selection_cost()'s expression in its summation order: every state
+  // costs O(V) instead of O(V^2 R) and the cost is bit-equal.
   VlSelection current(static_cast<std::size_t>(R), 0);
+  validate_selection(p, current);
+  std::vector<double> hops(static_cast<std::size_t>(R) * V);
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      hops[static_cast<std::size_t>(r * V + v)] =
+          manhattan(p.routers[static_cast<std::size_t>(r)],
+                    p.vls[static_cast<std::size_t>(v)]);
+    }
+  }
+  std::vector<double> load(static_cast<std::size_t>(V), 0.0);
+  std::vector<double> dist(static_cast<std::size_t>(V), 0.0);
+
   VlSelectionResult best;
-  best.selection = current;
-  best.cost = selection_cost(p, current);
   best.solver = "exhaustive";
-  // Odometer enumeration of all V^R selections.
-  while (true) {
-    int pos = R - 1;
-    while (pos >= 0 && current[static_cast<std::size_t>(pos)] == V - 1) {
-      current[static_cast<std::size_t>(pos)] = 0;
-      --pos;
+  bool have_best = false;
+  const auto score = [&] {
+    double total = 0.0;
+    for (int v = 0; v < V; ++v) {
+      total += load[static_cast<std::size_t>(v)];
     }
-    if (pos < 0) {
-      break;
+    const double avg = total / V;
+    double cost = 0.0;
+    for (int v = 0; v < V; ++v) {
+      const double load_cost =
+          avg <= 0.0
+              ? 0.0
+              : std::abs(load[static_cast<std::size_t>(v)] - avg) / avg;
+      cost += p.rho * dist[static_cast<std::size_t>(v)] + load_cost;
     }
-    ++current[static_cast<std::size_t>(pos)];
-    const double cost = selection_cost(p, current);
-    if (cost < best.cost) {
+    // The first state seeds the incumbent; later ones must strictly
+    // improve, so ties keep the lexicographically first optimum.
+    if (!have_best || cost < best.cost) {
+      have_best = true;
       best.cost = cost;
       best.selection = current;
     }
-  }
+  };
+  const auto descend = [&](const auto& self, int r) -> void {
+    if (r == R) {
+      score();
+      return;
+    }
+    const double traffic = p.traffic[static_cast<std::size_t>(r)];
+    for (int v = 0; v < V; ++v) {
+      double& l = load[static_cast<std::size_t>(v)];
+      double& d = dist[static_cast<std::size_t>(v)];
+      const double saved_load = l;
+      const double saved_dist = d;
+      l = saved_load + traffic;
+      d = saved_dist + hops[static_cast<std::size_t>(r * V + v)];
+      current[static_cast<std::size_t>(r)] = v;
+      self(self, r + 1);
+      l = saved_load;
+      d = saved_dist;
+    }
+  };
+  descend(descend, 0);
   return best;
 }
 

@@ -29,8 +29,10 @@ struct VlSelectionResult {
   const char* solver = "";
 };
 
-/// Literal Algorithm 2: enumerate every selection in S = V^R.
-/// Requires V^R <= max_states (default 2e6).
+/// Literal Algorithm 2: enumerate every selection in S = V^R, depth-first
+/// in lexicographic order; returns the lexicographically first optimum and
+/// its selection_cost(), bit for bit. Requires V^R <= max_states (default
+/// 2e6).
 VlSelectionResult solve_exhaustive(const VlSelectionProblem& p,
                                    std::uint64_t max_states = 2'000'000);
 

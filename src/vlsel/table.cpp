@@ -6,6 +6,13 @@ ChipletVlTable ChipletVlTable::build(const Topology& topo, int chiplet,
                                      VlTableSide side, Rng& rng,
                                      const std::vector<double>& traffic,
                                      double rho) {
+  return build_with(topo, chiplet, side, rng, traffic, rho, nullptr);
+}
+
+ChipletVlTable ChipletVlTable::build_with(const Topology& topo, int chiplet,
+                                          VlTableSide side, Rng& rng,
+                                          const std::vector<double>& traffic,
+                                          double rho, SolveMemo* memo) {
   ChipletVlTable table;
   table.chiplet_ = chiplet;
   table.side_ = side;
@@ -46,7 +53,24 @@ ChipletVlTable ChipletVlTable::build(const Topology& topo, int chiplet,
         alive_to_chiplet_vl.push_back(static_cast<int>(v));
       }
     }
-    const VlSelectionResult result = optimize(problem, rng);
+    const VlSelectionResult* cached = nullptr;
+    if (memo != nullptr) {
+      // Reusing a result skips a solve, which is exact only while no solve
+      // draws from `rng`: uniform traffic never reaches solve_anneal.
+      check(problem.traffic_is_uniform(),
+            "ChipletVlTable: memoized solves need uniform traffic");
+      for (const auto& [solved, result] : *memo) {
+        if (solved == problem) {
+          cached = &result;
+          break;
+        }
+      }
+    }
+    const VlSelectionResult result =
+        cached != nullptr ? *cached : optimize(problem, rng);
+    if (memo != nullptr && cached == nullptr) {
+      memo->emplace_back(problem, result);
+    }
     std::vector<std::int8_t> row(routers.size());
     for (std::size_t r = 0; r < routers.size(); ++r) {
       row[r] = static_cast<std::int8_t>(
@@ -82,12 +106,16 @@ int ChipletVlTable::faulty_entry_count() const {
 
 SystemVlTables SystemVlTables::build(const Topology& topo, Rng& rng,
                                      double rho) {
+  // Under uniform traffic the down and up tables of a chiplet pose the same
+  // problems, and chiplets of one geometry share them all: each distinct
+  // problem is solved once per build.
   SystemVlTables tables;
+  ChipletVlTable::SolveMemo memo;
   for (int c = 0; c < topo.num_chiplets(); ++c) {
-    tables.down_.push_back(
-        ChipletVlTable::build(topo, c, VlTableSide::down, rng, {}, rho));
-    tables.up_.push_back(
-        ChipletVlTable::build(topo, c, VlTableSide::up, rng, {}, rho));
+    tables.down_.push_back(ChipletVlTable::build_with(
+        topo, c, VlTableSide::down, rng, {}, rho, &memo));
+    tables.up_.push_back(ChipletVlTable::build_with(
+        topo, c, VlTableSide::up, rng, {}, rho, &memo));
   }
   return tables;
 }

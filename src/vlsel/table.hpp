@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -59,6 +60,21 @@ class ChipletVlTable {
   int faulty_entry_count() const;
 
  private:
+  friend class SystemVlTables;
+
+  /// optimize() results already computed during one SystemVlTables::build,
+  /// keyed by the full problem (router and alive-VL coordinates, traffic,
+  /// rho).
+  using SolveMemo =
+      std::vector<std::pair<VlSelectionProblem, VlSelectionResult>>;
+
+  /// build(), reusing the result of every problem already in `memo` and
+  /// adding the new ones; a null `memo` solves every mask.
+  static ChipletVlTable build_with(const Topology& topo, int chiplet,
+                                   VlTableSide side, Rng& rng,
+                                   const std::vector<double>& traffic,
+                                   double rho, SolveMemo* memo);
+
   int chiplet_ = 0;
   int num_vls_ = 0;
   VlTableSide side_ = VlTableSide::down;

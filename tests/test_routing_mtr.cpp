@@ -296,6 +296,13 @@ TEST_P(MtrTest, SetFaultsMatchesFreshlyConstructedInstance) {
   }
 }
 
+TEST(MtrLimits, RejectsMoreThanSixtyFourVls) {
+  // 20 chiplets x 4 VLs: past the 64-bit VL masks of the leg tables.
+  const Topology topo(make_grid_spec(5, 4, 2, 2));
+  ASSERT_GT(topo.num_vls(), 64);
+  EXPECT_THROW(MtrPlan{topo}, std::invalid_argument);
+}
+
 TEST(MtrHetero, SynthesizesOnHeterogeneousSystem) {
   ExperimentContext ctx(make_two_chiplet_spec());
   const auto plan = ctx.mtr_plan();

@@ -2,6 +2,8 @@
 // links, and spec validation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "topology/builder.hpp"
 
 namespace deft {
@@ -152,6 +154,29 @@ TEST(Topology, RejectsChipletWithoutVls) {
   SystemSpec spec = make_two_chiplet_spec();
   spec.chiplets[0].vl_positions.clear();
   EXPECT_THROW(Topology{spec}, std::invalid_argument);
+}
+
+TEST(Topology, RejectsMoreThanEightVlsPerChiplet) {
+  // Chiplet 0 is 3x3: every router a boundary router gives 9 VLs.
+  SystemSpec spec = make_two_chiplet_spec();
+  spec.chiplets[0].vl_positions.clear();
+  for (int y = 0; y < 3; ++y) {
+    for (int x = 0; x < 3; ++x) {
+      spec.chiplets[0].vl_positions.push_back({x, y});
+    }
+  }
+  try {
+    const Topology topo(spec);
+    FAIL() << "a 9-VL chiplet was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("at most 8 vertical links"),
+              std::string::npos)
+        << e.what();
+  }
+  spec.chiplets[0].vl_positions.pop_back();  // 8 VLs: the limit itself
+  const Topology topo(spec);
+  EXPECT_EQ(topo.chiplet_vls(0).size(),
+            static_cast<std::size_t>(kMaxVlsPerChiplet));
 }
 
 TEST(Topology, MeshDistanceIsManhattan) {

@@ -3,6 +3,9 @@
 // per-fault-scenario tables of Algorithm 2.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "topology/builder.hpp"
 #include "vlsel/table.hpp"
 
@@ -104,6 +107,106 @@ TEST(VlOptimizer, ExhaustiveRefusesHugeInstances) {
   VlSelectionProblem p = VlSelectionProblem::uniform(
       fig3_routers(), fig3_vls());  // 4^16 states
   EXPECT_THROW(solve_exhaustive(p), std::invalid_argument);
+}
+
+/// Reference brute force: the odometer over every selection in
+/// lexicographic order, scoring each with the full selection_cost() and
+/// keeping the first strict improvement.
+VlSelectionResult odometer_brute_force(const VlSelectionProblem& p) {
+  const int R = p.num_routers();
+  const int V = p.num_vls();
+  VlSelection current(static_cast<std::size_t>(R), 0);
+  VlSelectionResult best;
+  best.selection = current;
+  best.cost = selection_cost(p, current);
+  while (true) {
+    int pos = R - 1;
+    while (pos >= 0 && current[static_cast<std::size_t>(pos)] == V - 1) {
+      current[static_cast<std::size_t>(pos)] = 0;
+      --pos;
+    }
+    if (pos < 0) {
+      return best;
+    }
+    ++current[static_cast<std::size_t>(pos)];
+    const double cost = selection_cost(p, current);
+    if (cost < best.cost) {
+      best.cost = cost;
+      best.selection = current;
+    }
+  }
+}
+
+void expect_same_as_brute_force(const VlSelectionProblem& p,
+                                const std::string& label) {
+  const VlSelectionResult want = odometer_brute_force(p);
+  const VlSelectionResult got = solve_exhaustive(p);
+  EXPECT_EQ(got.selection, want.selection) << label;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cost),
+            std::bit_cast<std::uint64_t>(want.cost))
+      << label << ": " << got.cost << " vs " << want.cost;
+}
+
+TEST(VlOptimizer, ExhaustiveMatchesOdometerBitForBit) {
+  // Random instances in four families: uniform and non-uniform traffic on
+  // random placements, and mirror-symmetric router/VL placements (with
+  // uniform or few-valued traffic, zero traffic included) that create
+  // many tied optima. The solver must pick the same lexicographically
+  // first optimum and report a bit-equal cost.
+  int instances = 0;
+  for (std::uint64_t seed = 0; seed < 320; ++seed) {
+    Rng gen(seed + 1000);
+    const int family = static_cast<int>(seed % 4);
+    const bool symmetric = family >= 2;
+    const int V = static_cast<int>(gen.uniform_range(1, 4));
+    // Keep V^R small: the reference costs O(V^2 R) per state.
+    int max_r = 1;
+    double states = V;
+    while (max_r < 10 && states * V <= 6000.0) {
+      states *= V;
+      ++max_r;
+    }
+    const int R = static_cast<int>(gen.uniform_range(1, max_r));
+    VlSelectionProblem p;
+    const int w = 4;
+    for (int r = 0; r < R; ++r) {
+      p.routers.push_back(symmetric
+                              ? Coord{r % w, r / w}
+                              : Coord{static_cast<int>(gen.uniform(5)),
+                                      static_cast<int>(gen.uniform(5))});
+    }
+    for (int v = 0; v < V; ++v) {
+      // Symmetric VLs sit in mirror pairs across the vertical axis.
+      p.vls.push_back(symmetric
+                          ? Coord{v % 2 == 0 ? 0 : w - 1, v / 2}
+                          : Coord{static_cast<int>(gen.uniform(5)),
+                                  static_cast<int>(gen.uniform(5))});
+    }
+    for (int r = 0; r < R; ++r) {
+      double t = 1.0;
+      if (family == 1) {
+        t = gen.uniform_real();
+      } else if (family == 3) {
+        t = 0.1 * static_cast<double>(gen.uniform(3));  // 0, 0.1 or 0.2
+      }
+      p.traffic.push_back(t);
+    }
+    p.rho = gen.bernoulli(0.5) ? 0.01 : 0.1 * gen.uniform_real();
+    expect_same_as_brute_force(p, "seed " + std::to_string(seed));
+    ++instances;
+  }
+  // The reference-chiplet case that dominates a table build: 16 routers
+  // over every pair of the four border VLs (2^16 states each).
+  const std::vector<Coord> vls = fig3_vls();
+  for (std::size_t a = 0; a < vls.size(); ++a) {
+    for (std::size_t b = a + 1; b < vls.size(); ++b) {
+      expect_same_as_brute_force(
+          VlSelectionProblem::uniform(fig3_routers(), {vls[a], vls[b]}),
+          "fig3 VLs " + std::to_string(a) + "," + std::to_string(b));
+      ++instances;
+    }
+  }
+  EXPECT_GE(instances, 300);
 }
 
 TEST(VlOptimizer, CompositionMatchesExhaustiveOnUniformInstances) {
