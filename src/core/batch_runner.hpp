@@ -1,6 +1,6 @@
 // Batched short-run executor: keeps up to `batch_size` scenario
 // workspaces resident on ONE thread and round-robins cycle chunks across
-// them through SimStepper, so a sweep or campaign worker grinding through
+// them through SimStepper, so a sweep worker grinding through
 // thousands of ~1k-cycle runs keeps its hot planes (PacketTable, router
 // SoA lanes, RC units) cache-warm across scenario boundaries instead of
 // re-faulting them per run.
@@ -32,7 +32,7 @@ namespace deft {
 /// One scenario for a BatchRunner. The topology, timeline and the pointees
 /// behind `algorithm`/`traffic` must outlive the run() call; the owning
 /// pointers are left intact afterwards so callers that pool algorithm
-/// instances (the campaign's artifact cache) can reclaim them.
+/// instances can reclaim them.
 struct BatchJob {
   const Topology* topo = nullptr;
   std::unique_ptr<RoutingAlgorithm> algorithm;
@@ -50,7 +50,7 @@ struct BatchOutcome {
   SimResults results;
   /// Wall-clock seconds this job's own advance() chunks consumed - the
   /// batched analogue of timing one Simulator::run, excluding time spent
-  /// interleaved into other slots (campaign wall-clock budgets read this).
+  /// interleaved into other slots.
   double seconds = 0.0;
   /// Crash isolation: anything the job's prologue or cycles threw. The
   /// slot is reset and reused; other jobs are unaffected.

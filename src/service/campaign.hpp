@@ -1,29 +1,34 @@
-// Campaign engine: batches validated scenario requests across a
-// WorkerPool with per-request fault isolation, per-run budgets and the
-// design-artifact cache.
+// Campaign engine: runs validated scenario requests on its own worker
+// threads with per-request fault isolation, per-run budgets and the
+// design-artifact cache, and hands each row back as soon as its run ends.
 //
 // Robustness contract (what the daemon builds on):
-//  * run_batch never throws for request-shaped problems. Every request
-//    comes back as exactly one ResultRow in input order, in a terminal
-//    outcome: ok | failed | deadlocked | timeout | rejected.
-//  * A std::exception escaping one request's worker job marks only that
-//    request `failed` (with the what() string); the rest of the batch
-//    proceeds (WorkerPool::run_jobs' per-job outcome channel).
+//  * Every submitted request comes back exactly once, as a CompletedRun in
+//    completion order, with a ResultRow in a terminal outcome: ok |
+//    failed | deadlocked | timeout | rejected. Nothing request-shaped
+//    throws out of the engine.
+//  * A std::exception escaping one request's run marks only that request
+//    `failed` (with the what() string); the other runs proceed.
 //  * Watchdog-tripped runs come back `deadlocked`, runs that exhaust
 //    their cycle budget without draining or bust their wall-clock budget
 //    come back `timeout` - both with their partial SimResults attached,
 //    never as errors.
+//  * run_batch is the blocking wrapper: every request's row, in input
+//    order, once the slowest run is done.
 #pragma once
 
+#include <condition_variable>
+#include <cstdint>
+#include <deque>
 #include <filesystem>
-#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "core/batch_runner.hpp"
-#include "core/worker_pool.hpp"
 #include "service/artifact_cache.hpp"
 #include "service/request.hpp"
+#include "sim/simulator.hpp"
 
 namespace deft {
 
@@ -72,24 +77,17 @@ struct ResultRow {
 };
 
 struct CampaignOptions {
-  /// Pool width; 0 picks hardware concurrency.
+  /// Worker threads; 0 picks hardware concurrency.
   int workers = 0;
   /// ArtifactCache tier capacity (contexts / idle algorithm instances).
   std::size_t cache_capacity = 32;
   RunBudget budget;
-  /// Resident runs per worker: > 1 makes each worker execute contiguous
-  /// groups of that many requests through a BatchRunner (interleaved
-  /// cycle chunks, core/batch_runner.hpp). Simulation results and the
-  /// outcome taxonomy are bit-identical to batch_size = 1 - per-request
-  /// wall-clock rows measure only the request's own cycle chunks - and
-  /// per-request fault isolation is preserved. docs/throughput.md.
-  int batch_size = 1;
-  /// Crash-recovery checkpoints (docs/operations.md). When non-empty and
-  /// batch_size == 1, each run writes a deterministic snapshot of its
-  /// paused stepper to "<checkpoint_dir>/<id>.ckpt" every
-  /// checkpoint_every_cycles once it has passed checkpoint_min_cycles
-  /// (short runs never pay the fsync), and a request whose id has a
-  /// restorable checkpoint resumes from it instead of cycle 0. A corrupt
+  /// Crash-recovery checkpoints (docs/operations.md). When non-empty,
+  /// each run writes a deterministic snapshot of its paused stepper to
+  /// "<checkpoint_dir>/<id>.ckpt" every checkpoint_every_cycles once it
+  /// has passed checkpoint_min_cycles (short runs never pay the fsync),
+  /// and a request whose id has a restorable checkpoint resumes from it
+  /// instead of cycle 0. A corrupt
   /// or configuration-mismatched checkpoint is discarded and the run
   /// restarts clean - never a wrong result. The results are bit-identical
   /// with checkpoints on, off, or restored (tests/test_service.cpp).
@@ -101,12 +99,41 @@ struct CampaignOptions {
 /// Extension of per-request checkpoint images in checkpoint_dir.
 inline constexpr const char* kCheckpointExtension = ".ckpt";
 
+/// One finished request, handed back by CampaignEngine::take_completed.
+struct CompletedRun {
+  std::uint64_t ticket = 0;  ///< submission order: 0, 1, 2, ...
+  CampaignRequest request;
+  ResultRow row;
+};
+
+/// A work queue in front of `workers` threads. submit(), take_completed(),
+/// in_flight() and run_batch() belong to one consumer thread (the daemon
+/// loop); the workers only pop requests and push CompletedRuns.
 class CampaignEngine {
  public:
   explicit CampaignEngine(CampaignOptions options);
+  /// Joins the workers: runs already started finish first, queued requests
+  /// no worker has picked up are dropped (their spool files remain).
+  ~CampaignEngine();
+  CampaignEngine(const CampaignEngine&) = delete;
+  CampaignEngine& operator=(const CampaignEngine&) = delete;
+
+  /// Queues `request` for the next free worker. Never waits for a run.
+  void submit(CampaignRequest request);
+
+  /// Every run finished since the last call, in completion order. Never
+  /// blocks; an empty result is a spurious wake-up.
+  std::vector<CompletedRun> take_completed();
+
+  /// Readable (POLLIN) once a finished run waits for take_completed(); an
+  /// eventfd, so the daemon can wait on it next to its spool watch.
+  int completion_fd() const { return event_fd_; }
+
+  /// Submitted requests not yet returned by take_completed().
+  std::size_t in_flight() const { return in_flight_; }
 
   /// Runs every request to a terminal outcome; rows come back in request
-  /// order. Blocks until the whole batch is done.
+  /// order once the whole batch is done. Nothing else may be in flight.
   std::vector<ResultRow> run_batch(
       const std::vector<CampaignRequest>& requests);
 
@@ -115,24 +142,31 @@ class CampaignEngine {
   const CampaignOptions& options() const { return options_; }
 
  private:
+  struct Pending {
+    std::uint64_t ticket;
+    CampaignRequest request;
+  };
+
+  void work(int worker);
+  /// Wakes every worker to exit and joins it; running requests finish.
+  void stop_workers();
   ResultRow run_one(int worker, const CampaignRequest& request);
-  /// Batched path: prepares requests [begin, end), runs the valid ones
-  /// through the worker's resident BatchRunner, and writes every row.
-  /// Never throws for request-shaped problems (each request's prepare
-  /// and run failures are caught into its own row).
-  void run_group(int worker, const std::vector<CampaignRequest>& requests,
-                 std::size_t begin, std::size_t end,
-                 std::vector<ResultRow>& rows);
 
   CampaignOptions options_;
   int workers_;
   ArtifactCache cache_;
-  WorkerPool pool_;
-  /// One reusable workspace per pool worker (worker 0 is the caller).
+  /// One reusable workspace per worker thread.
   std::vector<SimWorkspace> workspaces_;
-  /// One resident BatchRunner per worker (batch_size > 1), created on the
-  /// worker's first group so its workspaces stay warm across groups.
-  std::vector<std::unique_ptr<BatchRunner>> runners_;
+  int event_fd_ = -1;
+  std::uint64_t next_ticket_ = 0;
+  std::size_t in_flight_ = 0;
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::deque<Pending> queue_;        // guarded by mu_
+  std::vector<CompletedRun> done_;   // guarded by mu_
+  bool stopping_ = false;            // guarded by mu_
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace deft

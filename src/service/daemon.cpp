@@ -1,10 +1,11 @@
 #include "service/daemon.hpp"
 
-#include <algorithm>
-#include <chrono>
+#include <poll.h>
+#include <sys/inotify.h>
+#include <unistd.h>
+
 #include <fstream>
 #include <stdexcept>
-#include <thread>
 
 namespace deft {
 
@@ -38,6 +39,51 @@ bool outcome_name_terminal(const std::string& outcome) {
   return outcome == "ok" || outcome == "failed" || outcome == "deadlocked" ||
          outcome == "timeout" || outcome == "rejected";
 }
+
+/// Lines of a regular file. A missing file, or a device or pipe standing
+/// in for one, has no durable lines to replay.
+std::vector<std::string> replay_lines(const fs::path& path) {
+  std::vector<std::string> lines;
+  std::error_code ec;
+  if (!fs::is_regular_file(path, ec)) {
+    return lines;
+  }
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+/// inotify watch for request files landing in the spool directory: an
+/// atomic publish (rename) or a direct write. fd() is -1 when the watch
+/// cannot be set up; the daemon's idle wait is then bounded by poll_ms
+/// alone.
+class SpoolWatch {
+ public:
+  explicit SpoolWatch(const fs::path& dir)
+      : fd_(inotify_init1(IN_CLOEXEC | IN_NONBLOCK)) {
+    if (fd_ >= 0 &&
+        inotify_add_watch(fd_, dir.c_str(), IN_MOVED_TO | IN_CLOSE_WRITE) <
+            0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~SpoolWatch() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+    }
+  }
+  SpoolWatch(const SpoolWatch&) = delete;
+  SpoolWatch& operator=(const SpoolWatch&) = delete;
+
+  int fd() const { return fd_; }
+
+ private:
+  int fd_;
+};
 
 }  // namespace
 
@@ -83,19 +129,15 @@ void CampaignDaemon::recover() {
   // The durable terminal rows are the source of truth for completion:
   // a row is fsync'd before its "committed" record and before the spool
   // unlink, so anything those later steps missed is reconciled here.
-  std::ifstream results_in(options_.results_path);
-  std::string line;
-  while (std::getline(results_in, line)) {
+  for (const std::string& line : replay_lines(options_.results_path)) {
     if (outcome_name_terminal(json_string_field(line, "outcome"))) {
       done_ids_.insert(json_string_field(line, "id"));
     }
   }
-  results_in.close();
 
   std::set<std::string> committed;
   if (!options_.journal_path.empty()) {
-    std::ifstream journal_in(options_.journal_path);
-    while (std::getline(journal_in, line)) {
+    for (const std::string& line : replay_lines(options_.journal_path)) {
       if (line.rfind("committed ", 0) == 0) {
         committed.insert(line.substr(10));
       }
@@ -142,17 +184,22 @@ void CampaignDaemon::recover() {
 void CampaignDaemon::emit(const ResultRow& row) {
   // Durable append (write + fsync): once emit returns, the row survives
   // SIGKILL - which is what licenses unlinking the request's spool file.
-  results_.append_line(row.to_json());
+  // A failed append is fail-stop: throwing here, before the journal's
+  // `committed` and the unlink, leaves the request in the spool for the
+  // restart's recovery pass to re-run.
+  if (!results_.append_line(row.to_json())) {
+    throw std::runtime_error("campaignd: cannot make the row of '" + row.id +
+                             "' durable in " +
+                             options_.results_path.string());
+  }
   ++rows_written_;
 }
 
-std::size_t CampaignDaemon::run_pass() {
-  const std::size_t rows_before = rows_written_;
-
-  // Ingest: accept spool files up to the high-water mark; defer the rest
-  // with an explicit overloaded row (once per request). Transient read
-  // failures are retried with backoff inside read_file_with_retry; a
-  // file that stays unreadable is rejected as data, not thrown over.
+void CampaignDaemon::ingest() {
+  // Accept spool files up to the high-water mark; defer the rest with an
+  // explicit overloaded row (once per request). Transient read failures
+  // are retried with backoff inside read_file_with_retry; a file that
+  // stays unreadable is rejected as data, not thrown over.
   for (const fs::path& file : scan_spool(options_.spool_dir)) {
     const std::string path = file.string();
     if (queued_paths_.count(path) != 0 || read_failed_.count(path) != 0) {
@@ -195,39 +242,62 @@ std::size_t CampaignDaemon::run_pass() {
     queued_paths_.insert(path);
     queue_.push_back(CampaignRequest{id, path, std::move(*text)});
   }
+}
 
-  // Run one batch. The write-ahead order is the whole durability story:
-  // journal `started` -> run -> results row fsync'd -> journal
-  // `committed` -> spool unlink + checkpoint removal. A crash between
-  // any two steps is recovered without losing a request or duplicating
-  // a row (see recover()).
-  if (!queue_.empty()) {
-    std::vector<CampaignRequest> batch;
-    const std::size_t take =
-        std::min<std::size_t>(options_.batch_max, queue_.size());
-    batch.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
+// The write-ahead order is the whole durability story, per request:
+// journal `started` -> run -> results row fsync'd -> journal `committed`
+// -> spool unlink + checkpoint removal. A crash between any two steps is
+// recovered without losing a request or duplicating a row (see
+// recover()).
+void CampaignDaemon::dispatch() {
+  while (!queue_.empty() && engine_.in_flight() < options_.batch_max) {
+    journal("started " + queue_.front().id);
+    engine_.submit(std::move(queue_.front()));
+    queue_.pop_front();
+  }
+}
+
+std::size_t CampaignDaemon::commit() {
+  const std::vector<CompletedRun> finished = engine_.take_completed();
+  for (const CompletedRun& run : finished) {
+    emit(run.row);
+    done_ids_.insert(run.row.id);
+    journal("committed " + run.row.id);
+    queued_paths_.erase(run.request.path);
+    std::error_code ec;
+    if (!run.request.path.empty()) {
+      fs::remove(run.request.path, ec);  // best effort; dedupe via done_ids_
     }
-    for (const CampaignRequest& request : batch) {
-      journal("started " + request.id);
-    }
-    const std::vector<ResultRow> rows = engine_.run_batch(batch);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      emit(rows[i]);
-      done_ids_.insert(rows[i].id);
-      journal("committed " + rows[i].id);
-      queued_paths_.erase(batch[i].path);
-      std::error_code ec;
-      if (!batch[i].path.empty()) {
-        fs::remove(batch[i].path, ec);  // best effort; dedupe via done_ids_
-      }
-      if (!options_.engine.checkpoint_dir.empty()) {
-        fs::remove(checkpoint_path(batch[i].id), ec);
-      }
+    if (!options_.engine.checkpoint_dir.empty()) {
+      fs::remove(checkpoint_path(run.request.id), ec);
     }
   }
+  return finished.size();
+}
+
+void CampaignDaemon::wait(int watch_fd, int timeout_ms) {
+  pollfd fds[2] = {{engine_.completion_fd(), POLLIN, 0},
+                   {watch_fd, POLLIN, 0}};  // a negative fd is ignored
+  if (::poll(fds, 2, timeout_ms) > 0 && (fds[1].revents & POLLIN) != 0) {
+    // The events only say "rescan"; the next ingest reads the directory.
+    char events[4096];
+    while (::read(watch_fd, events, sizeof events) > 0) {
+    }
+  }
+}
+
+void CampaignDaemon::finish_in_flight() {
+  while (engine_.in_flight() > 0) {
+    wait(-1, -1);
+    commit();
+  }
+}
+
+std::size_t CampaignDaemon::run_pass() {
+  const std::size_t rows_before = rows_written_;
+  ingest();
+  dispatch();
+  finish_in_flight();
   return rows_written_ - rows_before;
 }
 
@@ -246,18 +316,18 @@ void CampaignDaemon::shutdown() {
 }
 
 std::size_t CampaignDaemon::run(const volatile std::sig_atomic_t* stop) {
-  while (stop == nullptr || *stop == 0) {
-    const std::size_t written = run_pass();
-    if (stop != nullptr && *stop != 0) {
-      break;  // drain check below; never sleep through a stop request
-    }
-    if (written == 0 && queue_.empty()) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.poll_ms));
+  const auto stopping = [stop] { return stop != nullptr && *stop != 0; };
+  const SpoolWatch watch(options_.spool_dir);
+  while (!stopping()) {
+    ingest();
+    dispatch();
+    if (commit() == 0 && !stopping()) {
+      wait(watch.fd(), options_.poll_ms);
     }
   }
-  // In-flight batches completed inside run_pass; what remains is queued
-  // or still spooled. Record it and go down clean.
+  // Dispatch has stopped; the runs in flight finish and commit. What
+  // remains is queued or still spooled: record it and go down clean.
+  finish_in_flight();
   shutdown();
   return rows_written_;
 }

@@ -18,12 +18,7 @@ namespace fs = std::filesystem;
 std::vector<fs::path> scan_spool(const fs::path& dir) {
   std::vector<fs::path> files;
   std::error_code ec;
-  fs::directory_iterator it(dir, ec);
-  if (ec) {
-    return files;
-  }
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(dir, ec)) {
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
     std::error_code entry_ec;
     if (!entry.is_regular_file(entry_ec) || entry_ec) {
       continue;
@@ -126,6 +121,10 @@ void DurableAppender::close() {
 }
 
 std::size_t truncate_partial_trailing_line(const fs::path& path) {
+  std::error_code ec;
+  if (!fs::is_regular_file(path, ec)) {
+    return 0;  // nothing to repair in a device or pipe (and no end to read)
+  }
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) {
     return 0;

@@ -75,7 +75,8 @@ class DurableAppender {
 
 /// Repairs a line-oriented file after a torn final append (a crash mid
 /// write): truncates `path` back to its last newline. Returns the number
-/// of bytes dropped (0 when the file is absent, empty or intact).
+/// of bytes dropped (0 when the file is absent, empty, intact or not a
+/// regular file).
 std::size_t truncate_partial_trailing_line(const std::filesystem::path& path);
 
 }  // namespace deft

@@ -94,10 +94,9 @@ struct SimKnobs {
   /// Sharding requires the active-set core and a lookahead-capable
   /// traffic generator - other configurations run serially.
   int shards = 1;
-  /// Scenario batch width for throughput-oriented drivers (SweepRunner,
-  /// the campaign engine): > 1 keeps that many short runs resident per
-  /// worker and interleaves their cycle chunks through a BatchRunner
-  /// (core/batch_runner.hpp). A single Simulator::run ignores the knob -
+  /// Scenario batch width for SweepRunner: > 1 keeps that many short
+  /// runs resident per worker and interleaves their cycle chunks through
+  /// a BatchRunner (core/batch_runner.hpp). A single Simulator::run ignores the knob -
   /// batching is a property of executing *many* runs, not of one - and
   /// results are bit-identical for every value; only wall clock differs.
   /// Batching and sharding do not compose: sharded sweep points (shards >

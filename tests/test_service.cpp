@@ -3,11 +3,17 @@
 // protocol - everything short of the process-level chaos smoke
 // (tools/deft_campaign_chaos.cpp covers that end to end).
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sys/inotify.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "service/artifact_cache.hpp"
@@ -46,6 +52,18 @@ std::string valid_text() {
          "rate = 0.006\n"
          "warmup = 20\n"
          "measure = 100\n"
+         "seed = 11\n";
+}
+
+/// A run of 105000 cycles: long enough that short requests spooled after
+/// it finish first on another worker.
+std::string long_text() {
+  return "chiplets = 4\n"
+         "algorithm = deft\n"
+         "traffic = uniform\n"
+         "rate = 0.001\n"
+         "warmup = 20000\n"
+         "measure = 85000\n"
          "seed = 11\n";
 }
 
@@ -307,48 +325,27 @@ TEST(CampaignEngine, RepeatedBatchesAreBitIdentical) {
   EXPECT_EQ(cold.latency_mean, warm.latency_mean);
 }
 
-TEST(CampaignEngine, BatchedEngineMatchesUnbatchedRowForRow) {
-  // batch_size > 1 routes requests through resident BatchRunners; every
-  // row - including rejections, chaos failures and timeouts mixed into
-  // the same group - must match the unbatched engine's decision and
-  // simulation fields exactly.
-  std::vector<CampaignRequest> batch;
-  batch.push_back(make_request("good", valid_text()));
-  batch.push_back(make_request("bad", "chiplets = 4\nrate = fast\n"));
-  batch.push_back(make_request("chaos", valid_text() + "x_chaos = throw\n"));
-  batch.push_back(make_request(
-      "stuck",
-      "chiplets = 4\nrate = 0.05\nwarmup = 50\nmeasure = 200\n"
-      "drain_max = 0\nseed = 3\n"));
-  batch.push_back(make_request("mtr", valid_text() + "algorithm = mtr\n"));
-  batch.push_back(make_request("good-again", valid_text()));
-
-  CampaignOptions plain_options;
-  plain_options.workers = 1;
-  CampaignEngine plain(plain_options);
-  const std::vector<ResultRow> expected = plain.run_batch(batch);
-
-  for (int workers : {1, 2}) {
-    SCOPED_TRACE(workers);
-    CampaignOptions options;
-    options.workers = workers;
-    options.batch_size = 3;
-    CampaignEngine engine(options);
-    const std::vector<ResultRow> rows = engine.run_batch(batch);
-    ASSERT_EQ(rows.size(), expected.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      SCOPED_TRACE(rows[i].id);
-      EXPECT_EQ(rows[i].outcome, expected[i].outcome);
-      EXPECT_EQ(rows[i].has_results, expected[i].has_results);
-      EXPECT_EQ(rows[i].sim_outcome, expected[i].sim_outcome);
-      EXPECT_EQ(rows[i].drained, expected[i].drained);
-      EXPECT_EQ(rows[i].packets_created, expected[i].packets_created);
-      EXPECT_EQ(rows[i].packets_delivered, expected[i].packets_delivered);
-      EXPECT_EQ(rows[i].cycles, expected[i].cycles);
-      EXPECT_EQ(rows[i].latency_mean, expected[i].latency_mean);
-      EXPECT_EQ(rows[i].errors.size(), expected[i].errors.size());
-    }
+TEST(CampaignEngine, RunBatchReturnsRowsInInputOrder) {
+  // The slow request goes first; the workers finish the others long
+  // before it, and the wrapper still returns the rows in input order.
+  CampaignOptions options;
+  options.workers = 2;
+  CampaignEngine engine(options);
+  const std::vector<CampaignRequest> batch = {
+      make_request("slow", long_text()),
+      make_request("bad", "chiplets = 4\nrate = fast\n"),
+      make_request("good", valid_text()),
+      make_request("chaos", valid_text() + "x_chaos = throw\n")};
+  const std::vector<ResultRow> rows = engine.run_batch(batch);
+  ASSERT_EQ(rows.size(), batch.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].id, batch[i].id);
   }
+  EXPECT_EQ(rows[0].outcome, RequestOutcome::ok);
+  EXPECT_EQ(rows[1].outcome, RequestOutcome::rejected);
+  EXPECT_EQ(rows[2].outcome, RequestOutcome::ok);
+  EXPECT_EQ(rows[3].outcome, RequestOutcome::failed);
+  EXPECT_EQ(engine.in_flight(), 0u);
 }
 
 TEST(CampaignEngine, BadFaultChannelIsRejectedAtPrepare) {
@@ -750,6 +747,150 @@ TEST(CampaignDaemon, ChaosRequestFailsAloneAndDaemonKeepsServing) {
   // And the daemon is still fully operational afterwards.
   submit(options, "after", valid_text());
   EXPECT_EQ(daemon.run_pass(), 1u);
+}
+
+// ------------------------------------------------------------- streaming
+
+std::size_t count_containing(const std::vector<std::string>& lines,
+                             const std::string& needle) {
+  std::size_t n = 0;
+  for (const std::string& line : lines) {
+    n += line.find(needle) != std::string::npos;
+  }
+  return n;
+}
+
+TEST(CampaignDaemon, SlowRunDoesNotHoldBackAFastRow) {
+  // Head-of-line: the long run is dispatched first, but the malformed
+  // request behind it lands its durable row while the long run is still
+  // going on the other worker.
+  TempDir dir;
+  DaemonOptions options = daemon_options(dir);
+  options.engine.workers = 2;
+  CampaignDaemon daemon(options);
+  submit(options, "a-long", long_text());
+  submit(options, "b-bad", "chiplets = 4\nrate = fast\n");
+  ASSERT_EQ(daemon.run_pass(), 2u);
+  const auto lines = read_lines(options.results_path);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"id\": \"b-bad\""), std::string::npos);
+  EXPECT_NE(lines[0].find("\"outcome\": \"rejected\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"id\": \"a-long\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"outcome\": \"ok\""), std::string::npos);
+}
+
+TEST(CampaignDaemon, WritesStartedThenRowThenCommittedThenUnlinks) {
+  // The write-ahead order of one request, observed as it happens: inotify
+  // queues the events of one instance in the order they occur.
+  TempDir dir;
+  DaemonOptions options = daemon_options(dir);
+  const fs::path out = dir.path() / "out";
+  fs::create_directories(out);
+  options.results_path = out / "results.jsonl";
+  options.journal_path = out / "journal.log";
+  CampaignDaemon daemon(options);
+  submit(options, "one", valid_text());
+
+  const int fd = inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  ASSERT_GE(inotify_add_watch(fd, out.c_str(), IN_MODIFY), 0);
+  ASSERT_GE(inotify_add_watch(fd, options.spool_dir.c_str(), IN_DELETE), 0);
+  ASSERT_EQ(daemon.run_pass(), 1u);
+
+  std::vector<std::string> events;
+  alignas(inotify_event) char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::read(fd, buf, sizeof buf)) > 0) {
+    for (ssize_t at = 0; at < n;) {
+      const auto* event = reinterpret_cast<const inotify_event*>(buf + at);
+      events.push_back(event->len > 0 ? event->name : "");
+      at += static_cast<ssize_t>(sizeof(inotify_event) + event->len);
+    }
+  }
+  ::close(fd);
+  const std::vector<std::string> expected = {"journal.log", "results.jsonl",
+                                             "journal.log", "one.cfg"};
+  EXPECT_EQ(events, expected);
+  const std::vector<std::string> journal = {"started one", "committed one"};
+  EXPECT_EQ(read_lines(options.journal_path), journal);
+}
+
+TEST(CampaignDaemon, FailedRowAppendIsFailStop) {
+  // A results stream that cannot take the row (ENOSPC): the daemon must
+  // stop before journalling the commit or unlinking the request, so the
+  // restart's recovery pass re-runs it instead of losing it.
+  if (!fs::exists("/dev/full")) {
+    GTEST_SKIP() << "needs the /dev/full device";
+  }
+  TempDir dir;
+  DaemonOptions options = daemon_options(dir);
+  options.results_path = "/dev/full";
+  options.journal_path = dir.path() / "journal.log";
+  CampaignDaemon daemon(options);
+  submit(options, "one", valid_text());
+  EXPECT_THROW(daemon.run_pass(), std::runtime_error);
+  EXPECT_TRUE(fs::exists(options.spool_dir / "one.cfg"));
+  const std::vector<std::string> journal = {"started one"};
+  EXPECT_EQ(read_lines(options.journal_path), journal);
+}
+
+volatile std::sig_atomic_t g_stop_daemon = 0;
+
+void stop_daemon(int) { g_stop_daemon = 1; }
+
+TEST(CampaignDaemon, StopLetsInFlightRunsCommitAndManifestsTheRest) {
+  // Two long runs fill the in-flight cap; three more requests wait in the
+  // queue. A stop signal while the long runs are going: both still get
+  // exactly one row, nothing else is dispatched, and the manifest lists
+  // exactly the three unstarted files.
+  TempDir dir;
+  DaemonOptions options = daemon_options(dir);
+  options.engine.workers = 2;
+  options.batch_max = 2;
+  options.poll_ms = 5;
+  options.journal_path = dir.path() / "journal.log";
+  CampaignDaemon daemon(options);
+  submit(options, "a-long-0", long_text());
+  submit(options, "a-long-1", long_text());
+  for (int i = 0; i < 3; ++i) {
+    submit(options, "b-" + std::to_string(i), valid_text());
+  }
+
+  // The signal is sent to the daemon thread itself, as SIGTERM reaches
+  // deft_campaignd's main thread: the flag is written and read there.
+  struct sigaction action {};
+  struct sigaction previous {};
+  action.sa_handler = stop_daemon;
+  sigemptyset(&action.sa_mask);
+  ASSERT_EQ(sigaction(SIGUSR1, &action, &previous), 0);
+  g_stop_daemon = 0;
+  std::size_t rows = 0;
+  std::thread loop([&] { rows = daemon.run(&g_stop_daemon); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (count_containing(read_lines(options.journal_path), "started ") < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  pthread_kill(loop.native_handle(), SIGUSR1);
+  loop.join();
+  sigaction(SIGUSR1, &previous, nullptr);
+
+  const auto results = read_lines(options.results_path);
+  EXPECT_EQ(rows, 2u);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(count_containing(results, "\"id\": \"a-long-0\""), 1u);
+  EXPECT_EQ(count_containing(results, "\"id\": \"a-long-1\""), 1u);
+  EXPECT_EQ(count_containing(results, "\"outcome\": \"ok\""), 2u);
+  const auto journal = read_lines(options.journal_path);
+  EXPECT_EQ(count_containing(journal, "started "), 2u);
+  EXPECT_EQ(count_containing(journal, "committed a-long-"), 2u);
+  const auto manifest = read_lines(options.manifest_path);
+  ASSERT_EQ(manifest.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(fs::path(manifest[static_cast<std::size_t>(i)]).filename(),
+              "b-" + std::to_string(i) + kSpoolExtension);
+  }
 }
 
 }  // namespace

@@ -4,20 +4,21 @@
 //   $ deft_campaignd --spool SPOOL_DIR [options]
 //
 // Watches SPOOL_DIR for "<id>.cfg" request files (the deft_sim config
-// format plus service keys), runs them across a worker pool with
-// per-request fault isolation and per-run budgets, and appends one JSONL
-// result row per request to the results stream. SIGTERM/SIGINT drain the
-// in-flight batch, flush results, and write a resumable manifest.
+// format plus service keys), runs them on the engine's worker threads
+// with per-request fault isolation and per-run budgets, and appends one
+// JSONL result row per request to the results stream the moment its run
+// finishes. SIGTERM/SIGINT stop dispatch, let the runs in flight finish
+// and commit, and write a resumable manifest.
 //
 // Options (defaults in brackets):
 //   --spool DIR        spool directory (required; created if missing)
 //   --results FILE     JSONL results stream [<spool>/results.jsonl]
 //   --manifest FILE    shutdown manifest    [<spool>/manifest.txt]
-//   --workers N        pool width           [hardware concurrency]
+//   --workers N        worker threads       [hardware concurrency]
 //   --high-water N     queue high-water mark before overload [256]
-//   --batch N          max requests per pool dispatch [64]
-//   --batch-size N     resident interleaved runs per worker [1]
-//   --poll-ms N        spool poll interval [50]
+//   --batch N          max requests in flight [64]
+//   --poll-ms N        upper bound of an idle wait; a finished run or a
+//                      new spool file wakes the daemon sooner [50]
 //   --cache-cap N      artifact-cache capacity per tier [32]
 //   --max-cycles N     per-run cycle budget [2000000]
 //   --max-seconds S    per-run wall-clock budget [60]
@@ -83,9 +84,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--batch") == 0) {
       options.batch_max =
           static_cast<std::size_t>(parse_long(arg, value(), 1, 1'000'000));
-    } else if (std::strcmp(arg, "--batch-size") == 0) {
-      options.engine.batch_size =
-          static_cast<int>(parse_long(arg, value(), 1, kMaxBatchSize));
     } else if (std::strcmp(arg, "--poll-ms") == 0) {
       options.poll_ms = static_cast<int>(parse_long(arg, value(), 1, 60'000));
     } else if (std::strcmp(arg, "--cache-cap") == 0) {
