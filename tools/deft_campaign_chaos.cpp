@@ -279,7 +279,7 @@ int run_kill9(const std::string& daemon_bin, const std::string& client_bin,
     }
   }
 
-  // ---- wait for a checkpoint image, then SIGKILL mid-batch ------------
+  // ---- wait for a checkpoint image, then SIGKILL mid-run ----------
   bool saw_checkpoint = false;
   for (int waited_ms = 0; waited_ms < 120'000; waited_ms += 25) {
     std::error_code ec;
@@ -684,7 +684,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  usleep(200 * 1000);  // let the daemon ingest and start a batch
+  usleep(200 * 1000);  // let the daemon ingest and dispatch
   kill(daemon_pid, SIGTERM);
   {
     int status = 0;
