@@ -182,11 +182,7 @@ class SweepRunner {
   /// (tests/test_workspace.cpp). With knobs.shards > 1 the pool keeps its
   /// full width but at most effective_workers() points run *sharded* at a
   /// time (semaphore-gated), so sharded points compose with the sweep's
-  /// own parallelism without throttling a mixed sweep's serial points. With
-  /// knobs.batch_size > 1 (and unsharded points) each worker instead runs
-  /// a BatchRunner that keeps batch_size points resident and interleaves
-  /// their cycle chunks - same results, higher short-run throughput
-  /// (core/batch_runner.hpp, docs/throughput.md).
+  /// own parallelism without throttling a mixed sweep's serial points.
   std::vector<SweepResult> run(const ExperimentContext& ctx,
                                const ExperimentGrid& grid,
                                const SimKnobs& knobs) const;
@@ -220,25 +216,16 @@ class SweepRunner {
   /// [0, workers). Work stays dynamically scheduled (results depend
   /// only on i); the worker id exists solely so jobs can reuse per-worker
   /// scratch state such as a SimWorkspace. Serial execution (one worker,
-  /// or n == 1) runs everything as worker 0. The two-argument overload
-  /// uses the full configured pool width; the three-argument form caps it
-  /// (how sharded sweeps bound their total thread footprint).
+  /// or n == 1) runs everything as worker 0.
   template <typename T>
   std::vector<T> parallel_map_workers(
       std::size_t n, const std::function<T(int, std::size_t)>& job) const {
-    return parallel_map_workers<T>(n, num_threads_, job);
-  }
-
-  template <typename T>
-  std::vector<T> parallel_map_workers(
-      std::size_t n, int max_workers,
-      const std::function<T(int, std::size_t)>& job) const {
     std::vector<T> results(n);
     if (n == 0) {
       return results;
     }
     const int workers = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(1, max_workers)), n));
+        static_cast<std::size_t>(std::max(1, num_threads_)), n));
     if (workers <= 1) {
       for (std::size_t i = 0; i < n; ++i) {
         results[i] = job(0, i);

@@ -149,6 +149,11 @@ ValidatedRequest validate_request(const std::string& text,
     knobs.watchdog_cycles = budget.max_cycles;
     out.budget_clamped = true;
   }
+  // Thread budget: each engine worker runs its request on its own thread,
+  // so a sharded request would add shards - 1 threads beyond --workers.
+  // Results are bit-identical for every shard count, so the clamp changes
+  // nothing in the row and is not reported as budget_clamped.
+  knobs.shards = 1;
   return out;
 }
 

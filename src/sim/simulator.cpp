@@ -10,38 +10,40 @@ namespace deft {
 
 namespace {
 
-/// Run-wide accumulation shared by the phase sinks and the cycle loops.
-/// The latency sample vectors live in the SimWorkspace so a reused
-/// workspace keeps their capacity across runs.
-struct RunAccum {
+/// Where a PhaseSink's statistics land. Serial runs (and the sharded
+/// core's serial RC drain) bind the workspace's sample vectors, the
+/// SimResults planes and the LoopState's delivered count; each shard
+/// binds its ShardRun slice and no RC unit manager, because RC absorption
+/// is serial-only - the network routes it through the RC departure drain.
+struct SinkTargets {
   const Topology* topo;
   PacketTable* packets;
   RcUnitManager* rc_units;
-  SimResults* results;
   std::vector<std::uint32_t>* net_latencies;
   std::vector<std::uint32_t>* total_latencies;
-  std::uint64_t delivered_measured = 0;
+  std::vector<std::array<std::uint64_t, kMaxVcsStats>>* region_vc_flits;
+  std::vector<std::uint64_t>* vl_channel_flits;
+  std::uint64_t* flits_ejected_in_window;
+  std::uint64_t* delivered_measured;
 };
 
-/// Compile-time StatsSink for one phase. With InWindow false (warmup and
-/// drain) the traversal statistics and the in-window ejection counter
-/// compile away; the functional parts - RC absorption, delivery
+/// The compile-time StatsSink of every cycle loop. With InWindow false
+/// (warmup and drain) the traversal statistics and the in-window ejection
+/// counter compile away; the functional parts - RC absorption, delivery
 /// bookkeeping, latency capture for measured packets draining after the
 /// window - run in every phase.
 template <bool InWindow>
-struct PhaseSink {
-  RunAccum* a;
-
+struct PhaseSink : SinkTargets {
   void traverse(ChannelId c, int vc) {
     if constexpr (InWindow) {
-      const Channel& ch = a->topo->channel(c);
-      const int chiplet = a->topo->node(ch.src).chiplet;
+      const Channel& ch = topo->channel(c);
+      const int chiplet = topo->node(ch.src).chiplet;
       const int region =
-          chiplet == kInterposer ? a->topo->num_chiplets() : chiplet;
-      ++a->results->region_vc_flits[static_cast<std::size_t>(region)]
-                                   [static_cast<std::size_t>(vc)];
+          chiplet == kInterposer ? topo->num_chiplets() : chiplet;
+      ++(*region_vc_flits)[static_cast<std::size_t>(region)]
+                          [static_cast<std::size_t>(vc)];
       if (ch.vl_channel >= 0) {
-        ++a->results->vl_channel_flits[static_cast<std::size_t>(ch.vl_channel)];
+        ++(*vl_channel_flits)[static_cast<std::size_t>(ch.vl_channel)];
       }
     } else {
       (void)c;
@@ -50,223 +52,280 @@ struct PhaseSink {
   }
 
   void rc_absorb(NodeId node, const Flit& flit, Cycle now) {
-    a->rc_units->absorb(node, flit, now, *a->packets);
+    check(rc_units != nullptr,
+          "Simulator: RC absorption reached a shard sink");
+    rc_units->absorb(node, flit, now, *packets);
   }
 
   void eject(NodeId node, const Flit& flit, Cycle now) {
     if constexpr (InWindow) {
-      ++a->results->flits_ejected_in_window;
+      ++*flits_ejected_in_window;
     }
     if (flit.is_tail()) {  // kind stamped at injection
       // Tail ejection touches the hot plane (route id + measured byte)
       // and, for measured packets, the cold timestamp plane - the only
       // per-packet table accesses outside injection.
-      const PacketHot& hot = a->packets->hot(flit.packet);
-      check(node == a->packets->route_of(flit.packet).dst,
+      const PacketHot& hot = packets->hot(flit.packet);
+      check(node == packets->route_of(flit.packet).dst,
             "Simulator: flit ejected at a wrong node");
-      PacketTimes& times = a->packets->times(flit.packet);
+      PacketTimes& times = packets->times(flit.packet);
       times.ejected = now;
       if (hot.measured) {
-        ++a->delivered_measured;
-        a->net_latencies->push_back(
+        ++*delivered_measured;
+        net_latencies->push_back(
             static_cast<std::uint32_t>(now - times.net_injected));
-        a->total_latencies->push_back(
+        total_latencies->push_back(
             static_cast<std::uint32_t>(now - times.created));
       }
     }
   }
 };
 
-/// Everything one simulation loop needs, independent of the phase.
+using EventHeap = std::vector<std::pair<Cycle, std::size_t>>;
+
+}  // namespace
+
+/// Everything a cycle loop touches: the simulator's configuration, the
+/// workspace planes and the run's LoopState, bound once per advance()
+/// (serial) or per run (sharded). The one friend of Simulator and
+/// SimWorkspace among the loops; the loop functions below see only this.
 struct LoopCtx {
-  const SimKnobs* knobs;
-  TrafficGenerator* traffic;
-  RoutingAlgorithm* algorithm;
-  PacketTable* packets;
-  Network* net;
-  RcUnitManager* rc_units;
-  std::vector<NetworkInterface>* nis;
-  FaultSurgeon* surgeon = nullptr;
-  RunAccum* acc;
-  NiCounters counters;
+  LoopCtx(Simulator& sim, SimWorkspace& ws, LoopState& loop)
+      : knobs(sim.knobs_),
+        traffic(*sim.traffic_),
+        algorithm(*sim.algorithm_),
+        packets(ws.packets_),
+        net(ws.net_),
+        rc_units(ws.rc_units_),
+        nis(ws.nis_),
+        surgeon(ws.surgeon_),
+        results(ws.results_),
+        busy(ws.busy_),
+        wake(ws.wake_),
+        events(ws.events_),
+        shards(ws.shard_runs_),
+        partition(ws.partition_),
+        s(loop),
+        sink{sim.topo_,
+             &ws.packets_,
+             &ws.rc_units_,
+             &ws.net_latencies_,
+             &ws.total_latencies_,
+             &ws.results_.region_vc_flits,
+             &ws.results_.vl_channel_flits,
+             &ws.results_.flits_ejected_in_window,
+             &loop.delivered_measured} {}
 
-  Cycle measure_end = 0;
-  Cycle hard_end = 0;
-  Cycle now = 0;
-  Cycle idle_cycles = 0;
-  /// Stepper pause point: loops stop before executing cycle `cap` (the
-  /// unstepped run leaves it unbounded, so the loops are untouched).
-  Cycle cap = SimStepper::kNoCycleCap;
-  bool deadlock = false;
-  bool drained = false;
-
-  // Pending-NI worklist (active-set core); the storage is workspace-owned.
-  // `busy` mirrors NetworkInterface::busy(); `wake` marks NIs whose
-  // scheduled injection fires this cycle; `events` is a min-heap ordering
-  // the pre-drawn injections by (cycle, NI index) so same-cycle wakeups
-  // run in NI order - the order the full scan visits them.
-  bool lookahead = false;
-  std::vector<std::uint64_t>* busy = nullptr;
-  std::vector<std::uint64_t>* wake = nullptr;
-  std::vector<std::pair<Cycle, std::size_t>>* events = nullptr;
-
-  void schedule(std::size_t i, Cycle from) {
-    const Cycle c = (*nis)[i].schedule_next(*traffic, from, hard_end);
-    if (c < hard_end) {
-      events->emplace_back(c, i);
-      std::push_heap(events->begin(), events->end(), std::greater<>{});
-    }
-  }
+  const SimKnobs& knobs;
+  TrafficGenerator& traffic;
+  RoutingAlgorithm& algorithm;
+  PacketTable& packets;
+  Network& net;
+  RcUnitManager& rc_units;
+  std::vector<NetworkInterface>& nis;
+  FaultSurgeon& surgeon;
+  SimResults& results;
+  // Serial pending-NI worklist: `busy` mirrors NetworkInterface::busy();
+  // `wake` marks NIs whose scheduled injection fires this cycle; `events`
+  // is a min-heap ordering the pre-drawn injections by (cycle, NI index)
+  // so same-cycle wakeups run in NI order - the order the full scan
+  // visits them. Each ShardRun carries the same three for its shard.
+  std::vector<std::uint64_t>& busy;
+  std::vector<std::uint64_t>& wake;
+  EventHeap& events;
+  std::vector<ShardRun>& shards;
+  const Partition& partition;
+  LoopState& s;
+  SinkTargets sink;  ///< the serial binding
 };
 
-/// Runs cycles [ctx.now, phase_end) of the active-set core - capped at
-/// ctx.cap for stepped execution. Returns false when the run ended early
-/// (deadlock, or - with DrainCheck - all measured packets delivered).
-template <bool InWindow, bool DrainCheck>
-bool run_phase(LoopCtx& ctx) {
-  const Cycle phase_end = DrainCheck
-                              ? (InWindow ? ctx.measure_end : ctx.hard_end)
-                              : (InWindow ? ctx.measure_end - 1
-                                          : ctx.knobs->warmup);
-  const Cycle stop = std::min(phase_end, ctx.cap);
-  PhaseSink<InWindow> sink{ctx.acc};
-  for (; ctx.now < stop; ++ctx.now) {
-    const Cycle now = ctx.now;
+namespace {
 
-    // Dynamic fault events apply at the cycle boundary, before this
-    // cycle's packet creation - the same serial point the sharded core
-    // uses (ShardedState::begin_cycle), so surgery is shard-invariant.
-    if (ctx.surgeon->pending(now)) {
-      ctx.surgeon->apply_due(now, *ctx.net, *ctx.algorithm, *ctx.packets,
-                             *ctx.nis, *ctx.rc_units);
+/// Dynamic fault events apply at the cycle boundary, before the cycle's
+/// packet creation - one serial point in every loop, so surgery is
+/// shard-invariant.
+void apply_faults(LoopCtx& ctx, Cycle now) {
+  if (ctx.surgeon.pending(now)) {
+    ctx.surgeon.apply_due(now, ctx.net, ctx.algorithm, ctx.packets, ctx.nis,
+                          ctx.rc_units);
+  }
+}
+
+/// Arms NI `i`'s next pre-drawn injection at or after `from` in `events`,
+/// unless it falls past the run.
+void schedule(LoopCtx& ctx, EventHeap& events, std::size_t i, Cycle from) {
+  const Cycle c = ctx.nis[i].schedule_next(ctx.traffic, from, ctx.s.hard_end);
+  if (c < ctx.s.hard_end) {
+    events.emplace_back(c, i);
+    std::push_heap(events.begin(), events.end(), std::greater<>{});
+  }
+}
+
+/// Pops the events due at `cycle` into the wake set - and, for a shard,
+/// into its pending materialization list (heap order yields ascending NI
+/// index).
+void draw(EventHeap& events, std::vector<std::uint64_t>& wake, Cycle cycle,
+          std::vector<std::size_t>* pending) {
+  while (!events.empty() && events.front().first == cycle) {
+    std::pop_heap(events.begin(), events.end(), std::greater<>{});
+    const std::size_t i = events.back().second;
+    events.pop_back();
+    wake[i / 64] |= std::uint64_t{1} << (i % 64);
+    if (pending != nullptr) {
+      pending->push_back(i);
     }
+  }
+}
 
-    if (!ctx.lookahead) {
-      for (NetworkInterface& ni : *ctx.nis) {
-        ni.generate(now, *ctx.traffic, *ctx.algorithm, *ctx.packets,
-                    ctx.knobs->packet_size, InWindow, ctx.counters);
-        if (ni.busy()) {
-          ni.try_inject(now, *ctx.net, *ctx.packets, *ctx.rc_units);
-        }
+/// The pending-NI worklist walk of cycle `now`: visits, in ascending index
+/// order, every NI that is busy or whose scheduled injection fires this
+/// cycle (running `on_wake(i)` first for the latter), lets each busy NI
+/// inject, and refreshes the busy mask. A shard passes `staged` to
+/// collect its RC permission requests for serial delivery.
+template <class OnWake>
+void walk_worklist(LoopCtx& ctx, std::vector<std::uint64_t>& busy,
+                   std::vector<std::uint64_t>& wake, Cycle now,
+                   std::vector<RcPermissionRequest>* staged, OnWake on_wake) {
+  for (std::size_t w = 0; w < busy.size(); ++w) {
+    const std::uint64_t wake_word = wake[w];
+    wake[w] = 0;
+    std::uint64_t word = busy[w] | wake_word;
+    while (word != 0) {
+      const int b = std::countr_zero(word);
+      word &= word - 1;
+      const std::size_t i = w * 64 + static_cast<std::size_t>(b);
+      NetworkInterface& ni = ctx.nis[i];
+      if ((wake_word >> b) & 1) {
+        on_wake(i);
       }
-    } else {
-      while (!ctx.events->empty() && ctx.events->front().first == now) {
-        std::pop_heap(ctx.events->begin(), ctx.events->end(),
-                      std::greater<>{});
-        const std::size_t i = ctx.events->back().second;
-        ctx.events->pop_back();
-        (*ctx.wake)[i / 64] |= std::uint64_t{1} << (i % 64);
+      if (ni.busy()) {
+        ni.try_inject(now, ctx.net, ctx.packets, ctx.rc_units, staged, i);
       }
-      for (std::size_t w = 0; w < ctx.busy->size(); ++w) {
-        const std::uint64_t wake_word = (*ctx.wake)[w];
-        (*ctx.wake)[w] = 0;
-        std::uint64_t word = (*ctx.busy)[w] | wake_word;
-        while (word != 0) {
-          const int b = std::countr_zero(word);
-          word &= word - 1;
-          const std::size_t i = w * 64 + static_cast<std::size_t>(b);
-          NetworkInterface& ni = (*ctx.nis)[i];
-          if ((wake_word >> b) & 1) {
-            ni.commit_scheduled(now, *ctx.algorithm, *ctx.packets,
-                                ctx.knobs->packet_size, InWindow,
-                                ctx.counters);
-            ctx.schedule(i, now + 1);
-          }
-          if (ni.busy()) {
-            ni.try_inject(now, *ctx.net, *ctx.packets, *ctx.rc_units);
-          }
-          if (ni.busy()) {
-            (*ctx.busy)[w] |= std::uint64_t{1} << b;
-          } else {
-            (*ctx.busy)[w] &= ~(std::uint64_t{1} << b);
-          }
-        }
-      }
-    }
-
-    ctx.rc_units->tick(now, *ctx.net, *ctx.packets);
-    ctx.net->step(now, sink);
-    ctx.net->apply(now, sink);
-    ctx.acc->results->flit_hops += ctx.net->moves_last_cycle();
-
-    // Deadlock watchdog: pending work with no forward progress.
-    const std::uint64_t progress =
-        ctx.net->moves_last_cycle() + ctx.rc_units->take_progress();
-    if (progress > 0) {
-      ctx.idle_cycles = 0;
-    } else if (ctx.net->flits_buffered() + ctx.rc_units->flits_held() > 0) {
-      if (++ctx.idle_cycles >= ctx.knobs->watchdog_cycles) {
-        ctx.deadlock = true;
-        return false;
-      }
-    }
-
-    if constexpr (DrainCheck) {
-      // Lost packets can never drain; they count as resolved.
-      if (now + 1 >= ctx.measure_end &&
-          ctx.acc->delivered_measured + ctx.surgeon->lost_measured() ==
-              ctx.counters.created_measured) {
-        ctx.drained = true;
-        ++ctx.now;
-        return false;
+      if (ni.busy()) {
+        busy[w] |= std::uint64_t{1} << b;
+      } else {
+        busy[w] &= ~(std::uint64_t{1} << b);
       }
     }
   }
+}
+
+/// Polls every NI: draw this cycle's packets, then inject if busy (a
+/// no-op for idle NIs). Serial runs without the worklist.
+void poll_nis(LoopCtx& ctx, Cycle now, bool in_window) {
+  for (NetworkInterface& ni : ctx.nis) {
+    ni.generate(now, ctx.traffic, ctx.algorithm, ctx.packets,
+                ctx.knobs.packet_size, in_window, ctx.s.counters);
+    if (ni.busy()) {
+      ni.try_inject(now, ctx.net, ctx.packets, ctx.rc_units);
+    }
+  }
+}
+
+/// End of cycle `s.now`, shared by every cycle loop: counts the cycle's
+/// flit hops, runs the deadlock watchdog (pending work with no forward
+/// progress for watchdog_cycles) and the drain check (once the window
+/// closes, every measured packet delivered or lost - lost packets can
+/// never drain). Returns false when the run ends here; a deadlocked run
+/// stops on the stalled cycle, any other run moves past it.
+bool end_cycle(LoopCtx& ctx) {
+  LoopState& s = ctx.s;
+  const std::uint64_t moves = ctx.net.moves_last_cycle();
+  ctx.results.flit_hops += moves;
+  if (moves + ctx.rc_units.take_progress() > 0) {
+    s.idle_cycles = 0;
+  } else if (ctx.net.flits_buffered() + ctx.rc_units.flits_held() > 0 &&
+             ++s.idle_cycles >= ctx.knobs.watchdog_cycles) {
+    s.deadlock = true;
+    return false;
+  }
+  ++s.now;
+  if (s.now >= s.measure_end &&
+      s.delivered_measured + ctx.surgeon.lost_measured() ==
+          s.counters.created_measured) {
+    s.drained = true;
+    return false;
+  }
   return true;
+}
+
+/// Runs cycles [s.now, stop) of the active-set core inside one phase;
+/// returns early when the run ends.
+template <bool InWindow>
+void run_phase(LoopCtx& ctx, Cycle stop) {
+  LoopState& s = ctx.s;
+  PhaseSink<InWindow> sink{ctx.sink};
+  while (s.now < stop) {
+    const Cycle now = s.now;
+    apply_faults(ctx, now);
+    if (!s.lookahead) {
+      poll_nis(ctx, now, InWindow);
+    } else {
+      draw(ctx.events, ctx.wake, now, nullptr);
+      walk_worklist(ctx, ctx.busy, ctx.wake, now, nullptr,
+                    [&ctx, now](std::size_t i) {
+                      ctx.nis[i].commit_scheduled(
+                          now, ctx.algorithm, ctx.packets,
+                          ctx.knobs.packet_size, InWindow, ctx.s.counters);
+                      schedule(ctx, ctx.events, i, now + 1);
+                    });
+    }
+    ctx.rc_units.tick(now, ctx.net, ctx.packets);
+    ctx.net.step(now, sink);
+    ctx.net.apply(now, sink);
+    if (!end_cycle(ctx)) {
+      return;
+    }
+  }
 }
 
 /// The reference core: the original single loop that polls every NI and
 /// recomputes the window flag every cycle, driving the network's full
 /// router scan. Kept as the executable specification the equivalence
-/// tests (and the perf harness baseline) compare the active-set core to.
-void run_reference(LoopCtx& ctx) {
-  const Cycle stop = std::min(ctx.hard_end, ctx.cap);
-  for (; ctx.now < stop; ++ctx.now) {
-    const Cycle now = ctx.now;
-    const bool in_window =
-        now >= ctx.knobs->warmup && now < ctx.measure_end;
-
-    if (ctx.surgeon->pending(now)) {
-      ctx.surgeon->apply_due(now, *ctx.net, *ctx.algorithm, *ctx.packets,
-                             *ctx.nis, *ctx.rc_units);
-    }
-
-    for (NetworkInterface& ni : *ctx.nis) {
-      ni.generate(now, *ctx.traffic, *ctx.algorithm, *ctx.packets,
-                  ctx.knobs->packet_size, in_window, ctx.counters);
-      ni.try_inject(now, *ctx.net, *ctx.packets, *ctx.rc_units);
-    }
-    ctx.rc_units->tick(now, *ctx.net, *ctx.packets);
+/// tests compare the active-set core to.
+void run_reference(LoopCtx& ctx, Cycle cap) {
+  LoopState& s = ctx.s;
+  const Cycle stop = std::min(s.hard_end, cap);
+  while (s.now < stop) {
+    const Cycle now = s.now;
+    const bool in_window = now >= ctx.knobs.warmup && now < s.measure_end;
+    apply_faults(ctx, now);
+    poll_nis(ctx, now, in_window);
+    ctx.rc_units.tick(now, ctx.net, ctx.packets);
     if (in_window) {
-      PhaseSink<true> sink{ctx.acc};
-      ctx.net->step(now, sink);
-      ctx.net->apply(now, sink);
+      PhaseSink<true> sink{ctx.sink};
+      ctx.net.step(now, sink);
+      ctx.net.apply(now, sink);
     } else {
-      PhaseSink<false> sink{ctx.acc};
-      ctx.net->step(now, sink);
-      ctx.net->apply(now, sink);
+      PhaseSink<false> sink{ctx.sink};
+      ctx.net.step(now, sink);
+      ctx.net.apply(now, sink);
     }
-    ctx.acc->results->flit_hops += ctx.net->moves_last_cycle();
-
-    const std::uint64_t progress =
-        ctx.net->moves_last_cycle() + ctx.rc_units->take_progress();
-    if (progress > 0) {
-      ctx.idle_cycles = 0;
-    } else if (ctx.net->flits_buffered() + ctx.rc_units->flits_held() > 0) {
-      if (++ctx.idle_cycles >= ctx.knobs->watchdog_cycles) {
-        ctx.deadlock = true;
-        break;
-      }
-    }
-
-    if (now + 1 >= ctx.measure_end &&
-        ctx.acc->delivered_measured + ctx.surgeon->lost_measured() ==
-            ctx.counters.created_measured) {
-      ctx.drained = true;
-      ++ctx.now;
-      break;
+    if (!end_cycle(ctx)) {
+      return;
     }
   }
+}
+
+/// Fills the run's SimResults from its final LoopState - the last step of
+/// both the serial stepper and the sharded driver.
+const SimResults& finalize(LoopCtx& ctx) {
+  const LoopState& s = ctx.s;
+  SimResults& results = ctx.results;
+  results.cycles_run = s.now;
+  results.deadlock_detected = s.deadlock;
+  results.outcome = s.deadlock ? RunOutcome::deadlocked : RunOutcome::completed;
+  results.drained = s.drained;
+  results.packets_created = s.counters.created;
+  results.packets_created_measured = s.counters.created_measured;
+  results.packets_delivered_measured = s.delivered_measured;
+  results.packets_dropped_unroutable = s.counters.dropped_unroutable;
+  results.network_latency =
+      LatencySummary::from_samples(*ctx.sink.net_latencies);
+  results.total_latency =
+      LatencySummary::from_samples(*ctx.sink.total_latencies);
+  ctx.surgeon.finalize(results, ctx.packets);
+  return results;
 }
 
 // ---------------------------------------------------------------------------
@@ -275,20 +334,20 @@ void run_reference(LoopCtx& ctx) {
 //
 //   front (per shard): scheduled wake-ups re-arm their next event, busy
 //     NIs inject (staging arrivals into the shard's own inbox and RC
-//     permission requests into the shard's batch), then step_shard()
-//     routes/arbitrates the shard's routers into the per-consumer
-//     outboxes.
+//     permission requests into the shard's staging list), then
+//     step_shard() routes/arbitrates the shard's routers into the
+//     per-consumer outboxes.
 //   back (per shard): commit_shard() drains every inbox addressed to the
 //     shard (arrivals, credits, RC output credits, local ejections into
 //     the shard's private accumulators), then pre-draws the next cycle's
 //     wake set from the shard's event heap.
 //   completion (serial, inside the second barrier): RC absorptions drain,
-//     the watchdog and drain checks run on the summed counters, and -
-//     when the run continues - the next cycle is prepared: staged RC
-//     requests are delivered and pending injections materialized in
-//     ascending NI order (preserving the routing algorithm's shared RNG
-//     stream and the RC queue order of the serial loop), and the RC
-//     units tick.
+//     end_cycle() runs the watchdog and drain checks on the summed
+//     counters, and - when the run continues - the next cycle is
+//     prepared: staged RC requests are delivered and pending injections
+//     materialized in ascending NI order (preserving the routing
+//     algorithm's shared RNG stream and the RC queue order of the serial
+//     loop), and the RC units tick.
 //
 // Why this is bit-identical to serial: step() never reads another
 // router's state, commits are order-independent within a cycle (one
@@ -301,34 +360,17 @@ void run_reference(LoopCtx& ctx) {
 // RcPermissionRequest).
 
 /// State shared by every shard worker; plain fields are published across
-/// threads by the two std::barrier synchronization points per cycle.
+/// threads by the two synchronization points per cycle.
 struct ShardedState {
-  const SimKnobs* knobs = nullptr;
-  const Topology* topo = nullptr;
-  TrafficGenerator* traffic = nullptr;
-  RoutingAlgorithm* algorithm = nullptr;
-  PacketTable* packets = nullptr;
-  Network* net = nullptr;
-  RcUnitManager* rc_units = nullptr;
-  std::vector<NetworkInterface>* nis = nullptr;
-  std::vector<ShardRun>* shards = nullptr;
-  SimResults* results = nullptr;
-  FaultSurgeon* surgeon = nullptr;
-  const Partition* partition = nullptr;
+  explicit ShardedState(LoopCtx& c) : ctx(c) {}
+
+  LoopCtx& ctx;
   /// SimKnobs::rng_mode == counter: per-NI route streams make route
   /// preparation order-independent, so shard_back() prepares next-cycle
   /// injections in parallel instead of begin_cycle() doing it serially.
   bool counter_mode = false;
-  NiCounters counters;
-
-  Cycle measure_end = 0;
-  Cycle hard_end = 0;
-  Cycle now = 0;
-  Cycle idle_cycles = 0;
   bool in_window = false;
   bool stop = false;
-  bool deadlock = false;
-  bool drained = false;
 
   std::atomic<bool> failed{false};
   std::exception_ptr error;
@@ -344,26 +386,6 @@ struct ShardedState {
     failed.store(true, std::memory_order_relaxed);
   }
 
-  void schedule(ShardRun& sh, std::size_t i, Cycle from) {
-    const Cycle c = (*nis)[i].schedule_next(*traffic, from, hard_end);
-    if (c < hard_end) {
-      sh.events.emplace_back(c, i);
-      std::push_heap(sh.events.begin(), sh.events.end(), std::greater<>{});
-    }
-  }
-
-  /// Pops shard events due at `next` into the wake set and the pending
-  /// materialization list (heap order yields ascending NI index).
-  static void draw(ShardRun& sh, Cycle next) {
-    while (!sh.events.empty() && sh.events.front().first == next) {
-      std::pop_heap(sh.events.begin(), sh.events.end(), std::greater<>{});
-      const std::size_t i = sh.events.back().second;
-      sh.events.pop_back();
-      sh.wake[i / 64] |= std::uint64_t{1} << (i % 64);
-      sh.pending.push_back(i);
-    }
-  }
-
   /// Serial start-of-cycle work for cycle `now`: fold the shards' RC
   /// busy-unit deltas, materialize pending injections in ascending NI
   /// order, then tick the RC units. Mirrors the serial loop's per-NI
@@ -371,19 +393,19 @@ struct ShardedState {
   /// were already delivered - in the serial loop's per-unit order - by the
   /// shards' back phases (see shard_back()).
   void begin_cycle() {
-    const int num_shards = static_cast<int>(shards->size());
+    std::vector<ShardRun>& shards = ctx.shards;
+    const Cycle now = ctx.s.now;
+    const int num_shards = static_cast<int>(shards.size());
     int busy_delta = 0;
-    for (ShardRun& sh : *shards) {
+    for (ShardRun& sh : shards) {
       busy_delta += sh.rc_busy_delta;
       sh.rc_busy_delta = 0;
     }
-    rc_units->add_busy_units(busy_delta);
+    ctx.rc_units.add_busy_units(busy_delta);
     // Fault events apply after the staged RC requests are delivered and
     // before pending injections materialize - the same relative point the
     // serial loop reaches at the top of its cycle body.
-    if (surgeon->pending(now)) {
-      surgeon->apply_due(now, *net, *algorithm, *packets, *nis, *rc_units);
-    }
+    apply_faults(ctx, now);
     // K-way merge by NI index over the shards' (already ascending)
     // pending lists; shard counts are small, so a linear min scan
     // suffices.
@@ -392,7 +414,7 @@ struct ShardedState {
       int best = -1;
       std::size_t best_ni = 0;
       for (int s = 0; s < num_shards; ++s) {
-        const auto& pend = (*shards)[static_cast<std::size_t>(s)].pending;
+        const auto& pend = shards[static_cast<std::size_t>(s)].pending;
         if (pend_cursor[s] < pend.size() &&
             (best < 0 || pend[pend_cursor[s]] < best_ni)) {
           best = s;
@@ -403,116 +425,41 @@ struct ShardedState {
         break;
       }
       const std::size_t i =
-          (*shards)[static_cast<std::size_t>(best)].pending[pend_cursor[best]++];
-      (*nis)[i].commit_scheduled(now, *algorithm, *packets,
-                                 knobs->packet_size, in_window, counters);
+          shards[static_cast<std::size_t>(best)].pending[pend_cursor[best]++];
+      ctx.nis[i].commit_scheduled(now, ctx.algorithm, ctx.packets,
+                                  ctx.knobs.packet_size, in_window,
+                                  ctx.s.counters);
     }
-    for (ShardRun& sh : *shards) {
+    for (ShardRun& sh : shards) {
       sh.rc_requests.clear();
       sh.pending.clear();
     }
-    rc_units->tick(now, *net, *packets);
+    ctx.rc_units.tick(now, ctx.net, ctx.packets);
   }
 };
 
-/// Per-shard stats sink: the PhaseSink equivalent writing the shard's
-/// private accumulators. RC absorptions never reach it - the network
-/// routes them through the serial drain.
+/// Shard `sh`'s sink: its private measurement slice, no RC absorption.
 template <bool InWindow>
-struct ShardPhaseSink {
-  ShardedState* st;
-  ShardRun* sh;
+PhaseSink<InWindow> shard_sink(const LoopCtx& ctx, ShardRun& sh) {
+  return {{ctx.sink.topo, &ctx.packets, nullptr, &sh.net_latencies,
+           &sh.total_latencies, &sh.region_vc_flits, &sh.vl_channel_flits,
+           &sh.flits_ejected_in_window, &sh.delivered_measured}};
+}
 
-  void traverse(ChannelId c, int vc) {
-    if constexpr (InWindow) {
-      const Channel& ch = st->topo->channel(c);
-      const int chiplet = st->topo->node(ch.src).chiplet;
-      const int region =
-          chiplet == kInterposer ? st->topo->num_chiplets() : chiplet;
-      ++sh->region_vc_flits[static_cast<std::size_t>(region)]
-                           [static_cast<std::size_t>(vc)];
-      if (ch.vl_channel >= 0) {
-        ++sh->vl_channel_flits[static_cast<std::size_t>(ch.vl_channel)];
-      }
-    } else {
-      (void)c;
-      (void)vc;
-    }
-  }
-
-  void rc_absorb(NodeId, const Flit&, Cycle) {
-    check(false, "Simulator: RC absorption reached a parallel sink");
-  }
-
-  void eject(NodeId node, const Flit& flit, Cycle now) {
-    if constexpr (InWindow) {
-      ++sh->flits_ejected_in_window;
-    }
-    if (flit.is_tail()) {
-      const PacketHot& hot = st->packets->hot(flit.packet);
-      check(node == st->packets->route_of(flit.packet).dst,
-            "Simulator: flit ejected at a wrong node");
-      PacketTimes& times = st->packets->times(flit.packet);
-      times.ejected = now;
-      if (hot.measured) {
-        ++sh->delivered_measured;
-        sh->net_latencies.push_back(
-            static_cast<std::uint32_t>(now - times.net_injected));
-        sh->total_latencies.push_back(
-            static_cast<std::uint32_t>(now - times.created));
-      }
-    }
-  }
-};
-
-/// Serial sink for the RC departure drain.
-struct RcDrainSink {
-  RcUnitManager* rc_units;
-  const PacketTable* packets;
-  void traverse(ChannelId, int) {
-    check(false, "Simulator: traversal reached the RC drain sink");
-  }
-  void eject(NodeId, const Flit&, Cycle) {
-    check(false, "Simulator: ejection reached the RC drain sink");
-  }
-  void rc_absorb(NodeId node, const Flit& flit, Cycle now) {
-    rc_units->absorb(node, flit, now, *packets);
-  }
-};
-
-/// Front phase for one shard: scheduled wake-ups re-arm, busy NIs inject,
-/// the shard's routers step.
+/// Front phase for one shard: scheduled wake-ups re-arm (the injection
+/// itself was materialized in the serial completion step), busy NIs
+/// inject, the shard's routers step.
 template <bool InWindow>
 void shard_front(ShardedState& st, int s) {
-  ShardRun& sh = (*st.shards)[static_cast<std::size_t>(s)];
-  const Cycle now = st.now;
-  for (std::size_t w = 0; w < sh.busy.size(); ++w) {
-    const std::uint64_t wake_word = sh.wake[w];
-    sh.wake[w] = 0;
-    std::uint64_t word = sh.busy[w] | wake_word;
-    while (word != 0) {
-      const int b = std::countr_zero(word);
-      word &= word - 1;
-      const std::size_t i = w * 64 + static_cast<std::size_t>(b);
-      NetworkInterface& ni = (*st.nis)[i];
-      if ((wake_word >> b) & 1) {
-        // The injection itself was materialized in the serial completion
-        // step; re-arm the NI's next scheduled event.
-        st.schedule(sh, i, now + 1);
-      }
-      if (ni.busy()) {
-        ni.try_inject(now, *st.net, *st.packets, *st.rc_units,
-                      &sh.rc_requests, i);
-      }
-      if (ni.busy()) {
-        sh.busy[w] |= std::uint64_t{1} << b;
-      } else {
-        sh.busy[w] &= ~(std::uint64_t{1} << b);
-      }
-    }
-  }
-  ShardPhaseSink<InWindow> sink{&st, &sh};
-  st.net->step_shard(s, now, sink);
+  LoopCtx& ctx = st.ctx;
+  ShardRun& sh = ctx.shards[static_cast<std::size_t>(s)];
+  const Cycle now = ctx.s.now;
+  walk_worklist(ctx, sh.busy, sh.wake, now, &sh.rc_requests,
+                [&ctx, &sh, now](std::size_t i) {
+                  schedule(ctx, sh.events, i, now + 1);
+                });
+  PhaseSink<InWindow> sink = shard_sink<InWindow>(ctx, sh);
+  ctx.net.step_shard(s, now, sink);
 }
 
 /// Back phase for one shard: commit the shard's inboxes, deliver the
@@ -521,30 +468,31 @@ void shard_front(ShardedState& st, int s) {
 /// of the newly drawn injections.
 template <bool InWindow>
 void shard_back(ShardedState& st, int s) {
-  ShardRun& sh = (*st.shards)[static_cast<std::size_t>(s)];
-  ShardPhaseSink<InWindow> sink{&st, &sh};
-  st.net->commit_shard(s, st.now, sink);
+  LoopCtx& ctx = st.ctx;
+  ShardRun& sh = ctx.shards[static_cast<std::size_t>(s)];
+  const Cycle now = ctx.s.now;
+  PhaseSink<InWindow> sink = shard_sink<InWindow>(ctx, sh);
+  ctx.net.commit_shard(s, now, sink);
 
   // Distributed RC delivery: every shard scans all staged-request lists
-  // (written during the front phase, frozen by barrier_a) and delivers,
-  // in ascending NI order, exactly the requests targeting units on its
-  // own nodes. Restricting the serial loop's global NI order to one
-  // unit's requests preserves that unit's queue order, and no two shards
-  // ever touch the same unit - the partition keys ownership by node.
-  // The busy-unit transitions accumulate locally and fold in serially
-  // (RcUnitManager::add_busy_units) at the next begin_cycle().
-  const int num_shards = static_cast<int>(st.shards->size());
+  // (written during the front phase, frozen by the first barrier) and
+  // delivers, in ascending NI order, exactly the requests targeting units
+  // on its own nodes. Restricting the serial loop's global NI order to
+  // one unit's requests preserves that unit's queue order, and no two
+  // shards ever touch the same unit - the partition keys ownership by
+  // node. The busy-unit transitions accumulate locally and fold in
+  // serially (RcUnitManager::add_busy_units) at the next begin_cycle().
+  const int num_shards = static_cast<int>(ctx.shards.size());
   std::size_t cursor[kMaxSimShards] = {};
   int busy_delta = 0;
   for (;;) {
     int best = -1;
     std::size_t best_ni = 0;
     for (int p = 0; p < num_shards; ++p) {
-      const auto& reqs =
-          (*st.shards)[static_cast<std::size_t>(p)].rc_requests;
+      const auto& reqs = ctx.shards[static_cast<std::size_t>(p)].rc_requests;
       std::size_t& c = cursor[p];
       while (c < reqs.size() &&
-             st.partition->shard_of(reqs[c].unit_node) != s) {
+             ctx.partition.shard_of(reqs[c].unit_node) != s) {
         ++c;  // lazily skip requests another shard owns
       }
       if (c < reqs.size() && (best < 0 || reqs[c].ni < best_ni)) {
@@ -556,14 +504,14 @@ void shard_back(ShardedState& st, int s) {
       break;
     }
     const RcPermissionRequest& r =
-        (*st.shards)[static_cast<std::size_t>(best)].rc_requests[cursor[best]++];
-    busy_delta +=
-        st.rc_units->request_parallel(r.unit_node, r.requester, r.packet, r.now);
+        ctx.shards[static_cast<std::size_t>(best)].rc_requests[cursor[best]++];
+    busy_delta += ctx.rc_units.request_parallel(r.unit_node, r.requester,
+                                                r.packet, r.now);
   }
   sh.rc_busy_delta += busy_delta;
 
   const std::size_t drawn_from = sh.pending.size();
-  ShardedState::draw(sh, st.now + 1);
+  draw(sh.events, sh.wake, now + 1, &sh.pending);
   // Counter mode: prepare the next cycle's routes here, in parallel -
   // each NI draws from its private stream, so the result is independent
   // of which shard/order runs it. Deferred to the serial commit path
@@ -571,58 +519,35 @@ void shard_back(ShardedState& st, int s) {
   // see the post-event fault set, and the surgeon's reroute pass must
   // consume each NI's stream first. The event cursor only advances at
   // serial points, so pending() is safe to read concurrently.
-  if (st.counter_mode && !st.surgeon->pending(st.now + 1)) {
+  if (st.counter_mode && !ctx.surgeon.pending(now + 1)) {
     for (std::size_t k = drawn_from; k < sh.pending.size(); ++k) {
-      (*st.nis)[sh.pending[k]].prepare_scheduled(*st.algorithm);
+      ctx.nis[sh.pending[k]].prepare_scheduled(ctx.algorithm);
     }
   }
 }
 
 /// End-of-cycle serial step (the second barrier's completion): drains RC
-/// absorptions, applies the watchdog and drain checks to the summed
-/// counters, and prepares the next cycle.
+/// absorptions, applies end_cycle() to the summed counters, and prepares
+/// the next cycle.
 void sharded_cycle_end(ShardedState& st) {
   if (st.failed.load(std::memory_order_relaxed)) {
     st.stop = true;
     return;
   }
+  LoopCtx& ctx = st.ctx;
   try {
-    RcDrainSink rc_sink{st.rc_units, st.packets};
-    st.net->drain_rc_departures(st.now, rc_sink);
-
-    const std::uint64_t moves = st.net->moves_last_cycle();
-    st.results->flit_hops += moves;
-    const std::uint64_t progress = moves + st.rc_units->take_progress();
-    if (progress > 0) {
-      st.idle_cycles = 0;
-    } else if (st.net->flits_buffered() + st.rc_units->flits_held() > 0) {
-      if (++st.idle_cycles >= st.knobs->watchdog_cycles) {
-        st.deadlock = true;
-        st.stop = true;
-        return;
-      }
+    PhaseSink<false> rc_sink{ctx.sink};
+    ctx.net.drain_rc_departures(ctx.s.now, rc_sink);
+    ctx.s.delivered_measured = 0;
+    for (const ShardRun& sh : ctx.shards) {
+      ctx.s.delivered_measured += sh.delivered_measured;
     }
-
-    std::uint64_t delivered = 0;
-    for (const ShardRun& sh : *st.shards) {
-      delivered += sh.delivered_measured;
-    }
-    if (st.now + 1 >= st.measure_end &&
-        delivered + st.surgeon->lost_measured() ==
-            st.counters.created_measured) {
-      st.drained = true;
-      ++st.now;
-      st.stop = true;
-      return;
-    }
-
-    ++st.now;
-    if (st.now >= st.hard_end) {
+    if (!end_cycle(ctx) || ctx.s.now >= ctx.s.hard_end) {
       st.stop = true;
       return;
     }
     st.in_window =
-        st.now >= st.knobs->warmup && st.now < st.measure_end;
+        ctx.s.now >= ctx.knobs.warmup && ctx.s.now < ctx.s.measure_end;
     st.begin_cycle();
   } catch (...) {
     st.record_failure();
@@ -630,60 +555,55 @@ void sharded_cycle_end(ShardedState& st) {
   }
 }
 
-/// Two-shard cycle loop with fused phase synchronization: the generic
-/// loop's two std::barrier rendezvous per cycle become four single-writer
-/// epoch stores (TwoShardSync), roughly halving the per-cycle
-/// synchronization cost that dominates small two-shard runs. The phase
-/// structure is unchanged - front, peer-front wait, back, completion on
-/// worker 0, release - because the completion step's stop decision must
-/// still precede either worker's next front phase.
-void run_sharded_fused(ShardedState& st, WorkerPool& pool) {
-  TwoShardSync sync;
-  pool.run(2, [&st, &sync](int w) {
-    std::uint64_t epoch = 0;
-    while (!st.stop) {
-      ++epoch;
-      if (!st.failed.load(std::memory_order_relaxed)) {
-        try {
-          if (st.in_window) {
-            shard_front<true>(st, w);
-          } else {
-            shard_front<false>(st, w);
-          }
-        } catch (...) {
-          st.record_failure();
-        }
-      }
-      sync.front_done(w, epoch);
-      if (!st.failed.load(std::memory_order_relaxed)) {
-        try {
-          if (st.in_window) {
-            shard_back<true>(st, w);
-          } else {
-            shard_back<false>(st, w);
-          }
-        } catch (...) {
-          st.record_failure();
-        }
-      }
-      if (w == 0) {
-        sync.wait_follower_back(epoch);
-        sharded_cycle_end(st);
-        sync.publish_release(epoch);
-      } else {
-        sync.follower_back_done(epoch);
-      }
+/// One shard's front or back phase for the current cycle, unless a
+/// worker already failed.
+template <bool Front>
+void shard_phase(ShardedState& st, int w) {
+  if (st.failed.load(std::memory_order_relaxed)) {
+    return;
+  }
+  try {
+    if constexpr (Front) {
+      st.in_window ? shard_front<true>(st, w) : shard_front<false>(st, w);
+    } else {
+      st.in_window ? shard_back<true>(st, w) : shard_back<false>(st, w);
     }
-  });
+  } catch (...) {
+    st.record_failure();
+  }
 }
 
 /// Runs the cycle loop across one worker per shard. The caller has
 /// already performed cycle 0's prologue (initial event scheduling, the
 /// cycle-0 draw/materialization, the first RC tick).
+///
+/// Two shards use fused phase synchronization: the generic loop's two
+/// std::barrier rendezvous per cycle become four single-writer epoch
+/// stores (TwoShardSync), roughly halving the per-cycle synchronization
+/// cost that dominates small two-shard runs. The phase structure is
+/// unchanged - front, peer-front wait, back, completion on worker 0,
+/// release - because the completion step's stop decision must still
+/// precede either worker's next front phase.
 void run_sharded(ShardedState& st, WorkerPool& pool) {
-  const int num_shards = static_cast<int>(st.shards->size());
+  const int num_shards = static_cast<int>(st.ctx.shards.size());
   if (num_shards == 2) {
-    run_sharded_fused(st, pool);
+    TwoShardSync sync;
+    pool.run(2, [&st, &sync](int w) {
+      std::uint64_t epoch = 0;
+      while (!st.stop) {
+        ++epoch;
+        shard_phase<true>(st, w);
+        sync.front_done(w, epoch);
+        shard_phase<false>(st, w);
+        if (w == 0) {
+          sync.wait_follower_back(epoch);
+          sharded_cycle_end(st);
+          sync.publish_release(epoch);
+        } else {
+          sync.follower_back_done(epoch);
+        }
+      }
+    });
     return;
   }
 
@@ -691,32 +611,11 @@ void run_sharded(ShardedState& st, WorkerPool& pool) {
   std::barrier barrier_a(num_shards);
   std::barrier<std::decay_t<decltype(completion)>> barrier_b(num_shards,
                                                              completion);
-
   pool.run(num_shards, [&st, &barrier_a, &barrier_b](int w) {
     while (!st.stop) {
-      if (!st.failed.load(std::memory_order_relaxed)) {
-        try {
-          if (st.in_window) {
-            shard_front<true>(st, w);
-          } else {
-            shard_front<false>(st, w);
-          }
-        } catch (...) {
-          st.record_failure();
-        }
-      }
+      shard_phase<true>(st, w);
       barrier_a.arrive_and_wait();
-      if (!st.failed.load(std::memory_order_relaxed)) {
-        try {
-          if (st.in_window) {
-            shard_back<true>(st, w);
-          } else {
-            shard_back<false>(st, w);
-          }
-        } catch (...) {
-          st.record_failure();
-        }
-      }
+      shard_phase<false>(st, w);
       barrier_b.arrive_and_wait();  // completion: sharded_cycle_end
     }
   });
@@ -787,7 +686,10 @@ SimResults Simulator::run() {
   return run(ws);  // copied out before the private workspace dies
 }
 
-void Simulator::prepare(SimWorkspace& ws, const Partition* partition) {
+void Simulator::prepare(SimWorkspace& ws, const Partition* partition,
+                        LoopState& loop) {
+  require(!ran_, "Simulator::run may only be called once");
+  ran_ = true;
   ws.packets_.clear();
   ws.net_.reset(*topo_, *algorithm_, ws.packets_, knobs_.num_vcs,
                 knobs_.buffer_depth, faults_, knobs_.vl_serialization,
@@ -814,6 +716,10 @@ void Simulator::prepare(SimWorkspace& ws, const Partition* partition) {
   ws.total_latencies_.clear();
   ws.events_.clear();
   reset_results(ws.results_, *topo_, knobs_.measure);
+
+  loop = LoopState{};
+  loop.measure_end = knobs_.warmup + knobs_.measure;
+  loop.hard_end = loop.measure_end + knobs_.drain_max;
 }
 
 const SimResults& Simulator::run(SimWorkspace& ws) {
@@ -831,239 +737,151 @@ const SimResults& Simulator::run(SimWorkspace& ws) {
 
   if (!sharded) {
     // Serial path: the resumable stepper, run to completion in a single
-    // advance - what makes a batched (chunk-interleaved) run bit-identical
-    // to this one by construction.
+    // advance - what makes a stepped or snapshot-resumed run
+    // bit-identical to this one by construction.
     SimStepper stepper;
     stepper.start(*this, ws);
     stepper.advance();
     return stepper.finish();
   }
 
-  require(!ran_, "Simulator::run may only be called once");
-  ran_ = true;
-  prepare(ws, &ws.partition_);
-  const std::vector<NodeId>& endpoints = topo_->endpoints();
-
-  {
-    const int num_shards = ws.partition_.num_shards();
-    ws.shard_runs_.resize(static_cast<std::size_t>(num_shards));
-    const std::size_t ni_words = (ws.nis_.size() + 63) / 64;
-    for (ShardRun& sh : ws.shard_runs_) {
-      sh.busy.assign(ni_words, 0);
-      sh.wake.assign(ni_words, 0);
-      sh.events.clear();
-      sh.pending.clear();
-      sh.rc_requests.clear();
-      sh.rc_busy_delta = 0;
-      sh.net_latencies.clear();
-      sh.total_latencies.clear();
-      sh.region_vc_flits.assign(
-          static_cast<std::size_t>(topo_->num_chiplets()) + 1, {});
-      sh.vl_channel_flits.assign(
-          static_cast<std::size_t>(topo_->num_vl_channels()), 0);
-      sh.flits_ejected_in_window = 0;
-      sh.delivered_measured = 0;
-    }
-    if (!ws.pool_ || ws.pool_->threads() < num_shards - 1) {
-      ws.pool_ = std::make_unique<WorkerPool>(num_shards - 1);
-    }
-
-    ShardedState st;
-    st.knobs = &knobs_;
-    st.topo = topo_;
-    st.traffic = traffic_;
-    st.algorithm = algorithm_;
-    st.packets = &ws.packets_;
-    st.net = &ws.net_;
-    st.rc_units = &ws.rc_units_;
-    st.nis = &ws.nis_;
-    st.shards = &ws.shard_runs_;
-    st.results = &ws.results_;
-    st.surgeon = &ws.surgeon_;
-    st.partition = &ws.partition_;
-    st.counter_mode = knobs_.rng_mode == RngMode::counter;
-    st.measure_end = knobs_.warmup + knobs_.measure;
-    st.hard_end = st.measure_end + knobs_.drain_max;
-
-    // Cycle-0 prologue (serial): arm every NI's first scheduled event in
-    // its owner shard's heap, pre-draw cycle 0's wake set, materialize
-    // its injections and run the first RC tick - the same work the
-    // completion step performs at every later cycle boundary.
-    for (std::size_t i = 0; i < ws.nis_.size(); ++i) {
-      const int s = ws.partition_.shard_of(endpoints[i]);
-      st.schedule(ws.shard_runs_[static_cast<std::size_t>(s)], i, 0);
-    }
-    for (ShardRun& sh : ws.shard_runs_) {
-      ShardedState::draw(sh, 0);
-    }
-    st.now = 0;
-    st.in_window = knobs_.warmup <= 0;
-    st.begin_cycle();
-
-    run_sharded(st, *ws.pool_);
-    if (st.error) {
-      std::rethrow_exception(st.error);
-    }
-
-    // Merge the per-shard measurement slices. Every counter is additive
-    // and the latency summaries sort their samples, so the merge order
-    // cannot influence the results.
-    SimResults& results = ws.results_;
-    for (const ShardRun& sh : ws.shard_runs_) {
-      results.flits_ejected_in_window += sh.flits_ejected_in_window;
-      results.packets_delivered_measured += sh.delivered_measured;
-      for (std::size_t r = 0; r < results.region_vc_flits.size(); ++r) {
-        for (std::size_t v = 0; v < results.region_vc_flits[r].size(); ++v) {
-          results.region_vc_flits[r][v] += sh.region_vc_flits[r][v];
-        }
-      }
-      for (std::size_t c = 0; c < results.vl_channel_flits.size(); ++c) {
-        results.vl_channel_flits[c] += sh.vl_channel_flits[c];
-      }
-      ws.net_latencies_.insert(ws.net_latencies_.end(),
-                               sh.net_latencies.begin(),
-                               sh.net_latencies.end());
-      ws.total_latencies_.insert(ws.total_latencies_.end(),
-                                 sh.total_latencies.begin(),
-                                 sh.total_latencies.end());
-    }
-    results.cycles_run = st.now;
-    results.deadlock_detected = st.deadlock;
-    results.outcome =
-        st.deadlock ? RunOutcome::deadlocked : RunOutcome::completed;
-    results.drained = st.drained;
-    results.packets_created = st.counters.created;
-    results.packets_created_measured = st.counters.created_measured;
-    results.packets_dropped_unroutable = st.counters.dropped_unroutable;
-    results.network_latency = LatencySummary::from_samples(ws.net_latencies_);
-    results.total_latency = LatencySummary::from_samples(ws.total_latencies_);
-    ws.surgeon_.finalize(results, ws.packets_);
-    return results;
+  LoopState loop;
+  prepare(ws, &ws.partition_, loop);
+  LoopCtx ctx(*this, ws, loop);
+  const int num_shards = ws.partition_.num_shards();
+  ws.shard_runs_.resize(static_cast<std::size_t>(num_shards));
+  const std::size_t ni_words = (ws.nis_.size() + 63) / 64;
+  for (ShardRun& sh : ws.shard_runs_) {
+    sh.busy.assign(ni_words, 0);
+    sh.wake.assign(ni_words, 0);
+    sh.events.clear();
+    sh.pending.clear();
+    sh.rc_requests.clear();
+    sh.rc_busy_delta = 0;
+    sh.net_latencies.clear();
+    sh.total_latencies.clear();
+    sh.region_vc_flits.assign(
+        static_cast<std::size_t>(topo_->num_chiplets()) + 1, {});
+    sh.vl_channel_flits.assign(
+        static_cast<std::size_t>(topo_->num_vl_channels()), 0);
+    sh.flits_ejected_in_window = 0;
+    sh.delivered_measured = 0;
   }
+  if (!ws.pool_ || ws.pool_->threads() < num_shards - 1) {
+    ws.pool_ = std::make_unique<WorkerPool>(num_shards - 1);
+  }
+
+  ShardedState st(ctx);
+  st.counter_mode = knobs_.rng_mode == RngMode::counter;
+
+  // Cycle-0 prologue (serial): arm every NI's first scheduled event in
+  // its owner shard's heap, pre-draw cycle 0's wake set, materialize its
+  // injections and run the first RC tick - the same work the completion
+  // step performs at every later cycle boundary.
+  const std::vector<NodeId>& endpoints = topo_->endpoints();
+  for (std::size_t i = 0; i < ws.nis_.size(); ++i) {
+    const int s = ws.partition_.shard_of(endpoints[i]);
+    schedule(ctx, ws.shard_runs_[static_cast<std::size_t>(s)].events, i, 0);
+  }
+  for (ShardRun& sh : ws.shard_runs_) {
+    draw(sh.events, sh.wake, 0, &sh.pending);
+  }
+  st.in_window = knobs_.warmup <= 0;
+  st.begin_cycle();
+
+  run_sharded(st, *ws.pool_);
+  if (st.error) {
+    std::rethrow_exception(st.error);
+  }
+
+  // Merge the per-shard measurement slices (their delivered counts were
+  // summed into the LoopState at every cycle end). Every counter is
+  // additive and the latency summaries sort their samples, so the merge
+  // order cannot influence the results.
+  SimResults& results = ws.results_;
+  for (const ShardRun& sh : ws.shard_runs_) {
+    results.flits_ejected_in_window += sh.flits_ejected_in_window;
+    for (std::size_t r = 0; r < results.region_vc_flits.size(); ++r) {
+      for (std::size_t v = 0; v < results.region_vc_flits[r].size(); ++v) {
+        results.region_vc_flits[r][v] += sh.region_vc_flits[r][v];
+      }
+    }
+    for (std::size_t c = 0; c < results.vl_channel_flits.size(); ++c) {
+      results.vl_channel_flits[c] += sh.vl_channel_flits[c];
+    }
+    ws.net_latencies_.insert(ws.net_latencies_.end(), sh.net_latencies.begin(),
+                             sh.net_latencies.end());
+    ws.total_latencies_.insert(ws.total_latencies_.end(),
+                               sh.total_latencies.begin(),
+                               sh.total_latencies.end());
+  }
+  return finalize(ctx);
 }
 
 // ------------------------------------------------------------- SimStepper
 //
-// The stepper is the serial run loop with its cycle cursor hoisted into a
-// member: every advance() rebuilds the same RunAccum/LoopCtx the one-shot
-// path would use, runs the phase chain up to `cap`, and round-trips the
-// loop scalars back out. Because run_phase/run_reference derive the phase
-// from ctx.now alone, pausing and resuming at any cycle boundary cannot
-// change what any cycle executes - the bit-identity argument for batched
-// execution (docs/throughput.md).
+// The stepper is the serial run loop with its LoopState hoisted into a
+// member: every advance() binds a LoopCtx to it and runs the phase chain
+// up to `cap`. Because run_phase/run_reference derive the phase from the
+// cycle cursor alone, pausing and resuming at any cycle boundary cannot
+// change what any cycle executes.
 
 void SimStepper::start(Simulator& sim, SimWorkspace& ws) {
-  require(!sim.ran_, "Simulator::run may only be called once");
-  sim.ran_ = true;
+  sim.prepare(ws, nullptr, loop_);
   sim_ = &sim;
   ws_ = &ws;
-  sim.prepare(ws, nullptr);
-  measure_end_ = sim.knobs_.warmup + sim.knobs_.measure;
-  hard_end_ = measure_end_ + sim.knobs_.drain_max;
-  lookahead_ = sim.knobs_.core == SimCore::active_set &&
-               sim.traffic_->supports_lookahead();
-  now_ = 0;
-  idle_cycles_ = 0;
-  primed_ = false;
-  deadlock_ = drained_ = done_ = finished_ = false;
-  counters_ = NiCounters{};
-  delivered_measured_ = 0;
+  loop_.lookahead = sim.knobs_.core == SimCore::active_set &&
+                    sim.traffic_->supports_lookahead();
+  done_ = finished_ = false;
 }
 
 bool SimStepper::advance(Cycle cap) {
   require(sim_ != nullptr, "SimStepper::advance before start");
-  if (done_ || now_ >= cap) {
+  LoopState& s = loop_;
+  if (done_ || s.now >= cap) {
     return done_;
   }
-  Simulator& sim = *sim_;
-  SimWorkspace& ws = *ws_;
-  RunAccum acc{sim.topo_,          &ws.packets_,
-               &ws.rc_units_,      &ws.results_,
-               &ws.net_latencies_, &ws.total_latencies_,
-               delivered_measured_};
-  LoopCtx ctx;
-  ctx.knobs = &sim.knobs_;
-  ctx.traffic = sim.traffic_;
-  ctx.algorithm = sim.algorithm_;
-  ctx.packets = &ws.packets_;
-  ctx.net = &ws.net_;
-  ctx.rc_units = &ws.rc_units_;
-  ctx.nis = &ws.nis_;
-  ctx.surgeon = &ws.surgeon_;
-  ctx.acc = &acc;
-  ctx.counters = counters_;
-  ctx.measure_end = measure_end_;
-  ctx.hard_end = hard_end_;
-  ctx.now = now_;
-  ctx.idle_cycles = idle_cycles_;
-  ctx.cap = cap;
-  ctx.deadlock = deadlock_;
-  ctx.drained = drained_;
-  ctx.lookahead = lookahead_;
-  ctx.busy = &ws.busy_;
-  ctx.wake = &ws.wake_;
-  ctx.events = &ws.events_;
-  if (!primed_) {
-    primed_ = true;
-    if (lookahead_) {
-      const std::size_t words = (ws.nis_.size() + 63) / 64;
-      ws.busy_.assign(words, 0);
-      ws.wake_.assign(words, 0);
-      for (std::size_t i = 0; i < ws.nis_.size(); ++i) {
-        ctx.schedule(i, 0);
+  LoopCtx ctx(*sim_, *ws_, s);
+  if (!s.primed) {
+    s.primed = true;
+    if (s.lookahead) {
+      const std::size_t words = (ctx.nis.size() + 63) / 64;
+      ctx.busy.assign(words, 0);
+      ctx.wake.assign(words, 0);
+      for (std::size_t i = 0; i < ctx.nis.size(); ++i) {
+        schedule(ctx, ctx.events, i, 0);
       }
     }
   }
-  if (sim.knobs_.core == SimCore::full_scan) {
-    run_reference(ctx);
+  if (ctx.knobs.core == SimCore::full_scan) {
+    run_reference(ctx, cap);
   } else {
-    // The same phase chain as the one-shot path, re-entered by cycle
-    // cursor: each iteration picks the phase `ctx.now` falls in, so a
-    // capped run resumes mid-phase exactly where it stopped.
-    while (!ctx.deadlock && !ctx.drained && ctx.now < hard_end_ &&
-           ctx.now < cap) {
-      if (ctx.now < ctx.knobs->warmup) {
-        run_phase<false, false>(ctx);
-      } else if (ctx.now < measure_end_ - 1) {
-        run_phase<true, false>(ctx);
-      } else if (ctx.now < measure_end_) {
-        run_phase<true, true>(ctx);
+    // Re-entered by cycle cursor: each iteration runs the phase `s.now`
+    // falls in, so a capped run resumes mid-phase exactly where it
+    // stopped.
+    const Cycle warmup = ctx.knobs.warmup;
+    while (!s.deadlock && !s.drained && s.now < s.hard_end && s.now < cap) {
+      if (s.now < warmup) {
+        run_phase<false>(ctx, std::min(warmup, cap));
+      } else if (s.now < s.measure_end) {
+        run_phase<true>(ctx, std::min(s.measure_end, cap));
       } else {
-        run_phase<false, true>(ctx);
+        run_phase<false>(ctx, std::min(s.hard_end, cap));
       }
     }
   }
-  now_ = ctx.now;
-  idle_cycles_ = ctx.idle_cycles;
-  deadlock_ = ctx.deadlock;
-  drained_ = ctx.drained;
-  counters_ = ctx.counters;
-  delivered_measured_ = acc.delivered_measured;
-  done_ = deadlock_ || drained_ || now_ >= hard_end_;
+  done_ = s.deadlock || s.drained || s.now >= s.hard_end;
   return done_;
 }
 
 const SimResults& SimStepper::finish() {
   require(sim_ != nullptr && done_, "SimStepper::finish before the run ended");
-  SimWorkspace& ws = *ws_;
-  SimResults& results = ws.results_;
-  if (finished_) {
-    return results;
+  if (!finished_) {
+    finished_ = true;
+    LoopCtx ctx(*sim_, *ws_, loop_);
+    finalize(ctx);
   }
-  finished_ = true;
-  results.cycles_run = now_;
-  results.deadlock_detected = deadlock_;
-  results.outcome =
-      deadlock_ ? RunOutcome::deadlocked : RunOutcome::completed;
-  results.drained = drained_;
-  results.packets_created = counters_.created;
-  results.packets_created_measured = counters_.created_measured;
-  results.packets_delivered_measured = delivered_measured_;
-  results.packets_dropped_unroutable = counters_.dropped_unroutable;
-  results.network_latency = LatencySummary::from_samples(ws.net_latencies_);
-  results.total_latency = LatencySummary::from_samples(ws.total_latencies_);
-  ws.surgeon_.finalize(results, ws.packets_);
-  return results;
+  return ws_->results_;
 }
 
 }  // namespace deft

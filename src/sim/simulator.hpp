@@ -36,11 +36,10 @@
 // count (tests/test_sim_sharded.cpp); configurations sharding cannot
 // serve (full-scan core, non-lookahead traffic, single-shard partitions)
 // silently execute serially.
-// Batched execution: SimStepper exposes the serial loop as a resumable
+// Resumable execution: SimStepper exposes the serial loop as a
 // start/advance/finish sequence - Simulator::run(ws)'s serial path is a
-// wrapper over it - so core/batch_runner.hpp can interleave cycle chunks
-// of many short runs per worker without touching results (bit-identical
-// by construction, tests/test_batch_runner.cpp; see docs/throughput.md).
+// wrapper over it - which is what snapshots, campaign checkpoints and
+// traced runs pause and resume (sim/snapshot.hpp).
 #pragma once
 
 #include <limits>
@@ -94,22 +93,30 @@ struct SimKnobs {
   /// Sharding requires the active-set core and a lookahead-capable
   /// traffic generator - other configurations run serially.
   int shards = 1;
-  /// Scenario batch width for SweepRunner: > 1 keeps that many short
-  /// runs resident per worker and interleaves their cycle chunks through
-  /// a BatchRunner (core/batch_runner.hpp). A single Simulator::run ignores the knob -
-  /// batching is a property of executing *many* runs, not of one - and
-  /// results are bit-identical for every value; only wall clock differs.
-  /// Batching and sharding do not compose: sharded sweep points (shards >
-  /// 1 with the active-set core) run one at a time. docs/throughput.md.
-  int batch_size = 1;
   /// Routing-randomness mode (see RngMode). `serial` preserves every
   /// historical digest; `counter` unlocks parallel packet materialization
   /// and is the recommended mode for many-chiplet sharded runs.
   RngMode rng_mode = RngMode::serial;
 };
 
-/// Upper bound on SimKnobs::batch_size (resident workspaces per worker).
-inline constexpr int kMaxBatchSize = 64;
+/// The persistent scalars of one run's cycle loop: everything besides the
+/// workspace planes that carries from one cycle to the next. The serial
+/// stepper and the sharded driver each hold one; snapshots save the
+/// stepper's field by field.
+struct LoopState {
+  Cycle measure_end = 0;  ///< first cycle past the measurement window
+  Cycle hard_end = 0;     ///< measure_end + drain_max
+  Cycle now = 0;          ///< next cycle to execute
+  Cycle idle_cycles = 0;  ///< consecutive no-progress cycles (watchdog)
+  /// Active-set core with a lookahead-capable generator: the serial loop
+  /// walks the pending-NI worklist instead of polling every NI.
+  bool lookahead = false;
+  bool primed = false;  ///< initial injection events armed
+  bool deadlock = false;
+  bool drained = false;
+  NiCounters counters;
+  std::uint64_t delivered_measured = 0;
+};
 
 /// One shard's slice of the per-run state: the NI worklist (busy/wake
 /// bitmasks over the global NI index space, plus the scheduled-injection
@@ -131,7 +138,7 @@ struct ShardRun {
   /// parallel phase may touch).
   int rc_busy_delta = 0;
 
-  // Measurement slice (PhaseSink-equivalent, per shard).
+  // Measurement slice: where the shard's PhaseSink writes.
   std::vector<std::uint32_t> net_latencies;
   std::vector<std::uint32_t> total_latencies;
   std::vector<std::array<std::uint64_t, kMaxVcsStats>> region_vc_flits;
@@ -171,6 +178,7 @@ class SimWorkspace {
   friend class Simulator;
   friend class SimStepper;
   friend class SnapshotAccess;
+  friend struct LoopCtx;
 
   PacketTable packets_;
   Network net_;
@@ -224,11 +232,12 @@ class Simulator {
  private:
   friend class SimStepper;
   friend class SnapshotAccess;
+  friend struct LoopCtx;
 
-  /// Resets every workspace plane for a fresh run (shared by the serial
-  /// stepper and the sharded driver). `partition` is non-null only for
-  /// sharded execution.
-  void prepare(SimWorkspace& ws, const Partition* partition);
+  /// Consumes the run permit, resets every workspace plane and `loop` for
+  /// a fresh run (shared by the serial stepper and the sharded driver).
+  /// `partition` is non-null only for sharded execution.
+  void prepare(SimWorkspace& ws, const Partition* partition, LoopState& loop);
 
   const Topology* topo_;
   RoutingAlgorithm* algorithm_;
@@ -247,14 +256,13 @@ class Simulator {
 /// start + advance(unbounded) + finish, so a stepped run is bit-identical
 /// to an unstepped one by construction: the same phase loops execute the
 /// same cycles in the same order, merely pausing at advance() boundaries.
-/// All persistent loop state (cycle cursor, watchdog counter, injection
-/// counters) lives here; everything heavier stays in the SimWorkspace.
+/// The persistent loop state (LoopState: cycle cursor, watchdog counter,
+/// injection counters) lives here; everything heavier stays in the
+/// SimWorkspace.
 ///
 /// The stepper always executes serially, even for shard-eligible
 /// configurations (SimKnobs::shards > 1) - valid because sharded results
-/// are bit-identical to serial by the sharded core's own contract. The
-/// BatchRunner round-robins advance() calls over many steppers to keep a
-/// batch of short runs cache-resident (docs/throughput.md).
+/// are bit-identical to serial by the sharded core's own contract.
 class SimStepper {
  public:
   SimStepper() = default;
@@ -275,7 +283,7 @@ class SimStepper {
   bool done() const { return done_; }
 
   /// The next cycle advance() would execute.
-  Cycle now() const { return now_; }
+  Cycle now() const { return loop_.now; }
 
   /// Finalizes the run's statistics into the workspace and returns them
   /// (valid until the workspace's next run). Requires done(); call once.
@@ -288,18 +296,9 @@ class SimStepper {
 
   Simulator* sim_ = nullptr;
   SimWorkspace* ws_ = nullptr;
-  Cycle measure_end_ = 0;
-  Cycle hard_end_ = 0;
-  Cycle now_ = 0;
-  Cycle idle_cycles_ = 0;
-  bool lookahead_ = false;
-  bool primed_ = false;  ///< initial injection events armed
-  bool deadlock_ = false;
-  bool drained_ = false;
+  LoopState loop_;
   bool done_ = false;
   bool finished_ = false;
-  NiCounters counters_;
-  std::uint64_t delivered_measured_ = 0;
 };
 
 }  // namespace deft

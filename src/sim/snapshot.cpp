@@ -210,42 +210,44 @@ std::string SnapshotAccess::fingerprint(const Simulator& sim) {
     }
   }
   out << "]";
-  // shards/batch_size are execution-shape knobs with bit-identical
-  // results by contract, so they stay out of the fingerprint: a snapshot
-  // of a sharded or batched run restores onto the serial stepper.
+  // shards is an execution-shape knob with bit-identical results by
+  // contract, so it stays out of the fingerprint: a snapshot of a
+  // sharded run restores onto the serial stepper.
   return out.str();
 }
 
 void SnapshotAccess::save_stepper(Writer& w, const SimStepper& st) {
-  w.i64(st.measure_end_);
-  w.i64(st.hard_end_);
-  w.i64(st.now_);
-  w.i64(st.idle_cycles_);
-  w.b(st.lookahead_);
-  w.b(st.primed_);
-  w.b(st.deadlock_);
-  w.b(st.drained_);
+  const LoopState& s = st.loop_;
+  w.i64(s.measure_end);
+  w.i64(s.hard_end);
+  w.i64(s.now);
+  w.i64(s.idle_cycles);
+  w.b(s.lookahead);
+  w.b(s.primed);
+  w.b(s.deadlock);
+  w.b(s.drained);
   w.b(st.done_);
-  w.u64(st.counters_.created);
-  w.u64(st.counters_.created_measured);
-  w.u64(st.counters_.dropped_unroutable);
-  w.u64(st.delivered_measured_);
+  w.u64(s.counters.created);
+  w.u64(s.counters.created_measured);
+  w.u64(s.counters.dropped_unroutable);
+  w.u64(s.delivered_measured);
 }
 
 void SnapshotAccess::restore_stepper(Reader& r, SimStepper& st) {
-  st.measure_end_ = r.i64();
-  st.hard_end_ = r.i64();
-  st.now_ = r.i64();
-  st.idle_cycles_ = r.i64();
-  st.lookahead_ = r.b();
-  st.primed_ = r.b();
-  st.deadlock_ = r.b();
-  st.drained_ = r.b();
+  LoopState& s = st.loop_;
+  s.measure_end = r.i64();
+  s.hard_end = r.i64();
+  s.now = r.i64();
+  s.idle_cycles = r.i64();
+  s.lookahead = r.b();
+  s.primed = r.b();
+  s.deadlock = r.b();
+  s.drained = r.b();
   st.done_ = r.b();
-  st.counters_.created = r.u64();
-  st.counters_.created_measured = r.u64();
-  st.counters_.dropped_unroutable = r.u64();
-  st.delivered_measured_ = r.u64();
+  s.counters.created = r.u64();
+  s.counters.created_measured = r.u64();
+  s.counters.dropped_unroutable = r.u64();
+  s.delivered_measured = r.u64();
 }
 
 void SnapshotAccess::save_streams(Writer& w, const Simulator& sim) {

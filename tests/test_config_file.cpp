@@ -62,6 +62,9 @@ TEST(ConfigFile, DefaultsAreThePaperBaseline) {
 TEST(ConfigFile, RejectsUnknownKeys) {
   EXPECT_THROW(parse_simulation_config(std::string("typo_key = 3\n")),
                std::invalid_argument);
+  // Retired keys are unknown keys too: there is no batched execution.
+  EXPECT_THROW(parse_simulation_config(std::string("batch_size = 4\n")),
+               std::invalid_argument);
 }
 
 TEST(ConfigFile, RejectsMalformedLines) {

@@ -20,6 +20,10 @@
 //  3. Conservation: every measured packet is either delivered or
 //     explicitly counted lost; nothing leaks, under either policy, and
 //     the run still drains without deadlock.
+//
+//  4. Stepping: surgery is driven off the simulation clock, so a
+//     SimStepper advanced in chunks - or one cycle at a time - must land
+//     every event on the cycle the one-shot run does.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -373,6 +377,77 @@ TEST(FaultDynamic, ReroutePolicySavesQueuedPacketsThatDropForfeits) {
   EXPECT_EQ(rerouted.packets_delivered_measured +
                 rerouted.packets_lost_measured,
             rerouted.packets_created_measured);
+}
+
+SimKnobs short_knobs(std::uint64_t seed) {
+  SimKnobs knobs;
+  knobs.warmup = 100;
+  knobs.measure = 600;
+  knobs.drain_max = 1'500;
+  knobs.seed = seed;
+  return knobs;
+}
+
+const ExperimentContext& ctx4() {
+  static const ExperimentContext ctx = ExperimentContext::reference(4);
+  return ctx;
+}
+
+TEST(SimStepper, DynamicFaultTimelineSurvivesChunkedAdvance) {
+  // A transient VL failure inside the window, resumed across 64-cycle
+  // advance() chunks: the fail/repair events must land on the same
+  // cycles they do in one uninterrupted run.
+  FaultTimeline timeline;
+  timeline.add_transient(ctx4().topo().vl(2).down_vl_channel(), 250, 450);
+  for (std::uint64_t seed : {3u, 5u, 7u}) {
+    SCOPED_TRACE(seed);
+    const auto alg_ref = ctx4().make_algorithm(Algorithm::deft);
+    const auto traffic_ref = make_traffic(ctx4().topo(), "uniform", 0.015);
+    Simulator ref(ctx4().topo(), *alg_ref, *traffic_ref, short_knobs(seed), {},
+                  &timeline, InFlightPolicy::drop);
+    const SimResults expected = ref.run();
+
+    const auto alg = ctx4().make_algorithm(Algorithm::deft);
+    const auto traffic = make_traffic(ctx4().topo(), "uniform", 0.015);
+    Simulator sim(ctx4().topo(), *alg, *traffic, short_knobs(seed), {},
+                  &timeline, InFlightPolicy::drop);
+    SimWorkspace ws;
+    SimStepper stepper;
+    stepper.start(sim, ws);
+    for (Cycle cap = 64; !stepper.advance(cap); cap += 64) {
+    }
+    const SimResults& chunked = stepper.finish();
+    EXPECT_GT(chunked.fault_window_created, 0u);
+    expect_identical(chunked, expected);
+  }
+}
+
+TEST(SimStepper, SingleCycleCapsMatchOneShotRun) {
+  // The cap parameter itself: advancing a stepper one cycle at a time
+  // must reproduce the uncapped run exactly, including the phase
+  // transitions (warmup -> measure -> drain) that the capped loop
+  // re-dispatches on every advance() call.
+  SimKnobs knobs = short_knobs(11);
+  knobs.warmup = 40;
+  knobs.measure = 90;
+  knobs.drain_max = 800;
+
+  const auto alg_ref = ctx4().make_algorithm(Algorithm::deft);
+  const auto traffic_ref = make_traffic(ctx4().topo(), "uniform", 0.02);
+  Simulator ref(ctx4().topo(), *alg_ref, *traffic_ref, knobs);
+  const SimResults expected = ref.run();
+
+  const auto alg = ctx4().make_algorithm(Algorithm::deft);
+  const auto traffic = make_traffic(ctx4().topo(), "uniform", 0.02);
+  Simulator sim(ctx4().topo(), *alg, *traffic, knobs);
+  SimWorkspace ws;
+  SimStepper stepper;
+  stepper.start(sim, ws);
+  Cycle cap = 1;
+  while (!stepper.advance(cap)) {
+    ++cap;
+  }
+  expect_identical(stepper.finish(), expected);
 }
 
 }  // namespace

@@ -173,6 +173,19 @@ TEST(ValidateRequest, ClampsDrainAndWatchdogIntoTheBudget) {
   EXPECT_LE(v.config.knobs.watchdog_cycles, budget.max_cycles);
 }
 
+TEST(ValidateRequest, ClampsShardsToTheWorkersThread) {
+  // A sharded run spawns shards - 1 pool threads of its own, which would
+  // put the engine above --workers threads; results do not depend on the
+  // shard count, so the validator runs every request on its worker alone.
+  const ValidatedRequest v = validate_request(
+      "chiplets = 64\nwarmup = 100\nmeasure = 400\nshards = 64\n",
+      RunBudget{});
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v.config.chiplets, 64);
+  EXPECT_EQ(v.config.knobs.shards, 1);
+  EXPECT_FALSE(v.budget_clamped);
+}
+
 TEST(JsonEscape, EscapesQuotesBackslashesAndControlChars) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b"), "a\\\"b");

@@ -17,7 +17,6 @@
 
 #include <bit>
 
-#include "core/batch_runner.hpp"
 #include "core/runner.hpp"
 #include "traffic/app_profiles.hpp"
 #include "traffic/trace.hpp"
@@ -179,41 +178,6 @@ TEST(SimEquivalence, ActiveSetMatchesFullScanOnGoldenConfigs) {
     const SimResults active = run_config(cfg, SimCore::active_set);
     expect_identical(full, active);
     EXPECT_EQ(digest(active), cfg.expected_digest);
-  }
-}
-
-TEST(SimEquivalence, BatchedExecutionReproducesGoldens) {
-  // Throughput-mode bit-identity (docs/throughput.md): the six golden
-  // configurations executed as one interleaved batch must reproduce the
-  // pre-rewrite digests at every batch width - batching is an execution
-  // schedule, not a semantic.
-  for (int batch_size : {1, 4}) {
-    SCOPED_TRACE(batch_size);
-    std::vector<BatchJob> jobs;
-    for (const GoldenConfig& cfg : kGoldens) {
-      BatchJob job;
-      job.topo = &ctx4().topo();
-      VlFaultSet faults;
-      if (cfg.fault_count > 0) {
-        faults = grid_fault_pattern(ctx4(), cfg.fault_count);
-      }
-      const SimKnobs knobs = golden_knobs(SimCore::active_set);
-      job.algorithm = ctx4().make_algorithm(cfg.algorithm, faults,
-                                            knobs.num_vcs, cfg.strategy);
-      job.traffic =
-          std::make_unique<UniformTraffic>(ctx4().topo(), 0.02);
-      job.knobs = knobs;
-      job.faults = faults;
-      jobs.push_back(std::move(job));
-    }
-    BatchRunner runner(batch_size);
-    const std::vector<BatchOutcome> outcomes = runner.run(jobs);
-    ASSERT_EQ(outcomes.size(), std::size(kGoldens));
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      SCOPED_TRACE(kGoldens[i].name);
-      ASSERT_FALSE(outcomes[i].error);
-      EXPECT_EQ(digest(outcomes[i].results), kGoldens[i].expected_digest);
-    }
   }
 }
 

@@ -452,5 +452,55 @@ TEST(SimSharded, NonLookaheadTrafficFallsBackToSerial) {
   expect_identical(results[0], results[1]);
 }
 
+TEST(SimSharded, WatchdogFiresIdenticallyInEveryCycleLoop) {
+  // A lone MTR packet on 8x-serialized vertical links: while its flits
+  // wait out a narrow VL's serialization, nothing else in the network
+  // moves, so a 3-cycle watchdog budget reads the wait as a stall and
+  // declares a deadlock inside the measurement window. The decision must
+  // fall on the same cycle - with the same partial statistics - in the
+  // full scan, the active-set loop, the fused two-shard handshake, the
+  // barrier loop (three shards) and a stepper paused at every cycle.
+  SimKnobs knobs = golden_knobs(1);
+  knobs.warmup = 100;
+  knobs.measure = 400;
+  knobs.drain_max = 1000;
+  knobs.seed = 3;
+  knobs.vl_serialization = 8;
+  knobs.watchdog_cycles = 3;
+  const auto run = [&knobs](SimCore core, int shards) {
+    UniformTraffic traffic(ctx4().topo(), 0.001);
+    SimKnobs k = knobs;
+    k.core = core;
+    k.shards = shards;
+    return run_sim(ctx4(), Algorithm::mtr, traffic, k);
+  };
+  ASSERT_EQ(make_partition(ctx4().topo(), 3).num_shards(), 3);
+
+  const SimResults full = run(SimCore::full_scan, 1);
+  ASSERT_TRUE(full.deadlock_detected);
+  EXPECT_EQ(full.outcome, RunOutcome::deadlocked);
+  EXPECT_FALSE(full.drained);
+  EXPECT_GT(full.cycles_run, knobs.warmup);
+  EXPECT_LT(full.cycles_run, knobs.warmup + knobs.measure);
+  for (int shards : {1, 2, 3}) {
+    SCOPED_TRACE(shards);
+    const SimResults active = run(SimCore::active_set, shards);
+    EXPECT_EQ(active.outcome, RunOutcome::deadlocked);
+    expect_identical(active, full);
+  }
+
+  const auto alg = ctx4().make_algorithm(Algorithm::mtr);
+  UniformTraffic traffic(ctx4().topo(), 0.001);
+  Simulator sim(ctx4().topo(), *alg, traffic, knobs);
+  SimWorkspace ws;
+  SimStepper stepper;
+  stepper.start(sim, ws);
+  for (Cycle cap = 1; !stepper.advance(cap); ++cap) {
+  }
+  const SimResults& stepped = stepper.finish();
+  EXPECT_EQ(stepped.outcome, RunOutcome::deadlocked);
+  expect_identical(stepped, full);
+}
+
 }  // namespace
 }  // namespace deft

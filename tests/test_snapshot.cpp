@@ -13,7 +13,6 @@
 #include <bit>
 #include <filesystem>
 
-#include "core/batch_runner.hpp"
 #include "core/runner.hpp"
 #include "sim/snapshot.hpp"
 #include "traffic/trace.hpp"
@@ -243,49 +242,6 @@ TEST(Snapshot, RestoredRunsMatchShardedExecution) {
       const SimResults sharded = run_sim(ctx4(), s.algorithm, traffic,
                                          knobs, faults, s.strategy);
       EXPECT_EQ(digest(sharded), resumed);
-    }
-  }
-}
-
-TEST(Snapshot, RestoredRunsMatchBatchedExecution) {
-  // Same argument for throughput mode: batching is an execution schedule,
-  // not a semantic, so a snapshot of the serial stepper resumes a batched
-  // run. Every non-trace golden, interrupted at two interior cycles, must
-  // land on the digest the batched executor produces at widths 4 and 8.
-  std::uint64_t resumed[6][2];
-  for (std::size_t i = 0; i < 6; ++i) {
-    const Scenario& s = kScenarios[i];
-    SCOPED_TRACE(s.name);
-    resumed[i][0] = resumed_digest(s, snapshot_at(s, 650));
-    resumed[i][1] = resumed_digest(s, snapshot_at(s, 1111));
-    EXPECT_EQ(resumed[i][0], resumed[i][1]);
-  }
-  for (int batch_size : {4, 8}) {
-    SCOPED_TRACE(batch_size);
-    std::vector<BatchJob> jobs;
-    for (std::size_t i = 0; i < 6; ++i) {
-      const Scenario& s = kScenarios[i];
-      BatchJob job;
-      job.topo = &ctx4().topo();
-      VlFaultSet faults;
-      if (s.fault_count > 0) {
-        faults = grid_fault_pattern(ctx4(), s.fault_count);
-      }
-      const SimKnobs knobs = golden_knobs();
-      job.algorithm = ctx4().make_algorithm(s.algorithm, faults,
-                                            knobs.num_vcs, s.strategy);
-      job.traffic = std::make_unique<UniformTraffic>(ctx4().topo(), 0.02);
-      job.knobs = knobs;
-      job.faults = faults;
-      jobs.push_back(std::move(job));
-    }
-    BatchRunner runner(batch_size);
-    const std::vector<BatchOutcome> outcomes = runner.run(jobs);
-    ASSERT_EQ(outcomes.size(), 6u);
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      SCOPED_TRACE(kScenarios[i].name);
-      ASSERT_FALSE(outcomes[i].error);
-      EXPECT_EQ(digest(outcomes[i].results), resumed[i][0]);
     }
   }
 }
