@@ -1,8 +1,5 @@
 #include "core/worker_pool.hpp"
 
-#include <algorithm>
-#include <atomic>
-
 #include "common/types.hpp"
 
 namespace deft {
@@ -91,36 +88,6 @@ void WorkerPool::run(int n, const std::function<void(int)>& job) {
   if (error) {
     std::rethrow_exception(error);
   }
-}
-
-std::vector<std::exception_ptr> WorkerPool::run_jobs(
-    int workers, std::size_t jobs,
-    const std::function<void(int, std::size_t)>& job) {
-  require(workers >= 1, "WorkerPool::run_jobs: workers must be >= 1");
-  std::vector<std::exception_ptr> outcomes(jobs);
-  if (jobs == 0) {
-    return outcomes;
-  }
-  const int n = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(std::min(workers, threads() + 1)), jobs));
-  std::atomic<std::size_t> next{0};
-  // Job exceptions are captured inside the dispatched callable, so run()'s
-  // own first-exception path never fires for them and scheduling is never
-  // cut short by a failing job.
-  run(n, [&](int w) {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= jobs) {
-        return;
-      }
-      try {
-        job(w, i);
-      } catch (...) {
-        outcomes[i] = std::current_exception();
-      }
-    }
-  });
-  return outcomes;
 }
 
 }  // namespace deft

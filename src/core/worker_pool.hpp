@@ -94,19 +94,6 @@ class WorkerPool {
   /// is not reentrant (one run() at a time).
   void run(int n, const std::function<void(int)>& job);
 
-  /// Per-job outcome fan-out: executes job(worker, i) for every i in
-  /// [0, jobs), dynamically scheduled over min(workers, threads() + 1,
-  /// jobs) participants (worker identity exists so jobs can reuse
-  /// per-worker scratch such as a SimWorkspace). Unlike run()'s
-  /// first-exception-wins rethrow, an exception escaping job i is
-  /// captured into slot i of the returned vector (null = the job
-  /// completed) and the remaining jobs still execute - one throwing job
-  /// can never take down the batch. Only an exception escaping the
-  /// channel itself (e.g. bad_alloc while capturing) propagates.
-  std::vector<std::exception_ptr> run_jobs(
-      int workers, std::size_t jobs,
-      const std::function<void(int, std::size_t)>& job);
-
  private:
   void worker_main(int index);
 

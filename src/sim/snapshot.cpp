@@ -3,17 +3,21 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 namespace deft {
 namespace {
 
 constexpr char kMagic[8] = {'D', 'E', 'F', 'T', 'S', 'N', 'A', 'P'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;  // magic, version, len, sum
+static_assert(sizeof(std::size_t) == 8, "counts are stored as u64");
 
 std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -24,140 +28,146 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
   return h;
 }
 
-/// Little-endian primitive writer over a byte vector.
-class Writer {
+void expect(bool ok, const char* what) {
+  if (!ok) {
+    throw SnapshotError(std::string("invalid snapshot: ") + what);
+  }
+}
+
+/// The saving (Archive<false>) and loading (Archive<true>) archives share
+/// one interface, so one visit per plane spells each field once:
+///   io(v...)               scalars, little-endian at their in-memory width
+///   count(n, min_bytes)    a list length; the loader bounds it by the bytes
+///                          left, so a corrupt length cannot allocate
+///   size(n, what)          a value the configuration fixes (plane sizes)
+///   index(v, lo, hi, what) a value later code indexes with: [lo, hi)
+/// Saving writes the value of each check; loading enforces it, and every
+/// failure throws SnapshotError.
+template <bool Loading>
+class Archive {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(&out) {}
+  static constexpr bool kLoading = Loading;
 
-  void u8(std::uint8_t v) { out_->push_back(v); }
-  void u16(std::uint16_t v) { raw(v, 2); }
-  void u32(std::uint32_t v) { raw(v, 4); }
-  void u64(std::uint64_t v) { raw(v, 8); }
-  void i8(std::int8_t v) { u8(static_cast<std::uint8_t>(v)); }
-  void i16(std::int16_t v) { u16(static_cast<std::uint16_t>(v)); }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void b(bool v) { u8(v ? 1 : 0); }
-  void str(const std::string& s) {
-    u64(s.size());
-    out_->insert(out_->end(), s.begin(), s.end());
+  explicit Archive(std::vector<std::uint8_t>& out) : out_(&out) {
+    static_assert(!Loading, "a loading archive reads a byte range");
+  }
+  Archive(const std::uint8_t* data, std::size_t size)
+      : data_(data), size_(size) {
+    static_assert(Loading, "a saving archive appends to a vector");
   }
 
- private:
-  void raw(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+  template <class... T>
+  void io(T&... v) {
+    (field(v), ...);
   }
-
-  std::vector<std::uint8_t>* out_;
-};
-
-/// Bounds-checked little-endian reader; underflow throws SnapshotError.
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return data_[pos_++];
-  }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(raw(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(raw(4)); }
-  std::uint64_t u64() { return raw(8); }
-  std::int8_t i8() { return static_cast<std::int8_t>(u8()); }
-  std::int16_t i16() { return static_cast<std::int16_t>(u16()); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  bool b() { return u8() != 0; }
-  std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<std::size_t>(n));
-    pos_ += static_cast<std::size_t>(n);
-    return s;
-  }
-  /// Reads a count that will drive a loop of elements at least
-  /// `min_element_bytes` each; bounding it by the remaining payload turns
-  /// a corrupt length field into a clean truncation error instead of an
-  /// attempted multi-gigabyte allocation.
-  std::size_t count(std::size_t min_element_bytes) {
-    const std::uint64_t n = u64();
-    if (min_element_bytes > 0 &&
-        n > (size_ - pos_) / min_element_bytes) {
+  std::size_t count(std::size_t n, std::size_t min_bytes) {
+    io(n);
+    if (kLoading && n > (size_ - pos_) / min_bytes) {
       throw SnapshotError("truncated snapshot: element count " +
                           std::to_string(n) + " exceeds remaining payload");
     }
-    return static_cast<std::size_t>(n);
+    return n;
+  }
+  template <class T>
+  void size(const T& expected, const char* what) {
+    T n = expected;
+    io(n);
+    if (n != expected) {
+      throw SnapshotError(std::string("snapshot ") + what + " mismatch");
+    }
+  }
+  template <class T>
+  void index(T& v, std::int64_t lo, std::int64_t hi, const char* what) {
+    io(v);
+    const auto x = static_cast<std::int64_t>(v);
+    if (kLoading && (x < lo || x >= hi)) {
+      throw SnapshotError(std::string("snapshot ") + what + " " +
+                          std::to_string(x) + " out of range");
+    }
   }
   bool exhausted() const { return pos_ == size_; }
 
  private:
-  void need(std::uint64_t n) {
-    if (n > size_ - pos_) {
-      throw SnapshotError("truncated snapshot: read past end of payload");
+  template <class T>
+  void field(T& v) {
+    static_assert(std::is_integral_v<T> || std::is_enum_v<T>);
+    constexpr std::size_t kBytes = sizeof(T);
+    if constexpr (!kLoading) {
+      const auto bits = static_cast<std::uint64_t>(v);
+      for (std::size_t i = 0; i < kBytes; ++i) {
+        out_->push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+      }
+    } else {
+      if (kBytes > size_ - pos_) {
+        throw SnapshotError("truncated snapshot: read past end of payload");
+      }
+      std::uint64_t bits = 0;
+      for (std::size_t i = 0; i < kBytes; ++i) {
+        bits |= std::uint64_t{data_[pos_ + i]} << (8 * i);
+      }
+      pos_ += kBytes;
+      if constexpr (std::is_same_v<T, bool>) {
+        expect(bits <= 1, "flag byte is neither 0 nor 1");
+      }
+      v = static_cast<T>(bits);
     }
-  }
-  std::uint64_t raw(int bytes) {
-    need(static_cast<std::uint64_t>(bytes));
-    std::uint64_t v = 0;
-    for (int i = 0; i < bytes; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += static_cast<std::size_t>(bytes);
-    return v;
   }
 
-  const std::uint8_t* data_;
-  std::size_t size_;
+  std::vector<std::uint8_t>* out_ = nullptr;
+  const std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
   std::size_t pos_ = 0;
 };
+using Saver = Archive<false>;
+using Loader = Archive<true>;
 
-void write_u64_vec(Writer& w, const std::vector<std::uint64_t>& v) {
-  w.u64(v.size());
-  for (const std::uint64_t x : v) {
-    w.u64(x);
+/// A list: its length, then each element through `each` (default: one
+/// scalar field).
+template <class Ar, class V, class F>
+void io_list(Ar& ar, V& v, std::size_t min_bytes, F each) {
+  const std::size_t n = ar.count(v.size(), min_bytes);
+  if constexpr (Ar::kLoading) {
+    v.resize(n);
+  }
+  for (auto& x : v) {
+    each(x);
+  }
+}
+template <class Ar, class V>
+void io_list(Ar& ar, V& v) {
+  io_list(ar, v, sizeof(v[0]), [&ar](auto& x) { ar.io(x); });
+}
+
+/// A plane of scalars whose size the configuration fixes.
+template <class Ar, class V>
+void io_plane(Ar& ar, V& v, const char* what) {
+  ar.size(v.size(), what);
+  for (auto& x : v) {
+    ar.io(x);
   }
 }
 
-void read_u64_vec(Reader& r, std::vector<std::uint64_t>& v) {
-  v.resize(r.count(8));
-  for (std::uint64_t& x : v) {
-    x = r.u64();
-  }
+template <class Ar, class F>
+void io_flit(Ar& ar, F& f, std::size_t packets) {
+  ar.index(f.packet, 0, static_cast<std::int64_t>(packets), "flit packet");
+  ar.io(f.seq, f.kind);
 }
 
-void write_flit(Writer& w, const Flit& f) {
-  w.i32(f.packet);
-  w.u16(f.seq);
-  w.u8(f.kind);
+bool on_mesh(const Topology& topo, NodeId n, int chiplet) {
+  return n >= 0 && n < topo.num_nodes() && topo.node(n).chiplet == chiplet;
 }
 
-Flit read_flit(Reader& r) {
-  Flit f;
-  f.packet = r.i32();
-  f.seq = r.u16();
-  f.kind = r.u8();
-  return f;
-}
-
-VlFaultSet faults_from_bits(std::uint64_t bits) {
-  VlFaultSet set;
-  for (int b = 0; b < 64; ++b) {
-    if ((bits >> b) & 1) {
-      set.set_faulty(b);
-    }
-  }
-  return set;
+bool is_endpoint(const Topology& topo, NodeId n) {
+  return n >= 0 && n < topo.num_nodes() &&
+         topo.node(n).endpoint != EndpointKind::none;
 }
 
 }  // namespace
 
-/// Friend of every simulation class holding checkpointable state; the
-/// whole save/restore implementation lives in its static members.
+/// Friend of every simulation class holding checkpointable state. Each
+/// plane has one visit spelling its fields once for both archives, in
+/// image order (the plane deduces const on save); validate() then
+/// re-derives the cross-plane state of a loaded image.
 class SnapshotAccess {
  public:
   static std::vector<std::uint8_t> save(const SimStepper& st);
@@ -167,24 +177,347 @@ class SnapshotAccess {
  private:
   static std::string fingerprint(const Simulator& sim);
 
-  static void save_stepper(Writer& w, const SimStepper& st);
-  static void restore_stepper(Reader& r, SimStepper& st);
-  static void save_streams(Writer& w, const Simulator& sim);
-  static void restore_streams(Reader& r, Simulator& sim);
-  static void save_packets(Writer& w, const PacketTable& packets);
-  static void restore_packets(Reader& r, PacketTable& packets);
-  static void save_network(Writer& w, const Network& net);
-  static void restore_network(Reader& r, Network& net);
-  static void save_nis(Writer& w, const std::vector<NetworkInterface>& nis);
-  static void restore_nis(Reader& r, std::vector<NetworkInterface>& nis);
-  static void save_rc(Writer& w, const RcUnitManager& rc);
-  static void restore_rc(Reader& r, RcUnitManager& rc);
-  static void save_surgeon(Writer& w, const FaultSurgeon& s);
-  static void restore_surgeon(Reader& r, FaultSurgeon& s, Simulator& sim);
-  static void save_worklists(Writer& w, const SimWorkspace& ws);
-  static void restore_worklists(Reader& r, SimWorkspace& ws);
-  static void save_results(Writer& w, const SimResults& res);
-  static void restore_results(Reader& r, SimResults& res);
+  template <class Ar, class St, class Sim, class Ws>
+  static void visit(Ar& ar, St& st, Sim& sim, Ws& ws) {
+    const Topology& topo = *sim.topo_;
+    visit_stepper(ar, st, sim.knobs_);
+    visit_streams(ar, sim);
+    visit_packets(ar, ws.packets_, topo, sim.knobs_, st.loop_.now);
+    visit_network(ar, ws.net_, ws.packets_.size());
+    visit_nis(ar, ws.nis_, ws.packets_, topo, sim.knobs_.num_vcs);
+    visit_rc(ar, ws.rc_units_, ws.packets_.size(), sim.knobs_.num_vcs);
+    visit_surgeon(ar, ws.surgeon_, sim, ws.net_,
+                  ws.packets_.distinct_routes());
+    visit_worklists(ar, ws, st.loop_);
+    visit_results(ar, ws.results_);
+  }
+
+  template <class Ar, class S>
+  static void visit_stepper(Ar& ar, S& st, const SimKnobs& k) {
+    auto& s = st.loop_;
+    const bool lookahead = s.lookahead;  // start() derived it on load
+    ar.io(s.measure_end, s.hard_end, s.now);
+    ar.index(s.idle_cycles, 0, k.watchdog_cycles + 1, "watchdog counter");
+    ar.io(s.lookahead, s.primed, s.deadlock, s.drained, st.done_);
+    ar.io(s.counters.created, s.counters.created_measured,
+          s.counters.dropped_unroutable, s.delivered_measured);
+    if constexpr (Ar::kLoading) {
+      expect(s.measure_end == k.warmup + k.measure &&
+                 s.hard_end == s.measure_end + k.drain_max && s.now >= 0 &&
+                 s.now <= s.hard_end && s.lookahead == lookahead,
+             "loop bounds disagree with the configuration");
+    }
+  }
+
+  template <class Ar, class Sim>
+  static void visit_streams(Ar& ar, Sim& sim) {
+    const auto stream = [&ar](auto& owner, const char* what) {
+      std::vector<std::uint64_t> words;
+      if constexpr (!Ar::kLoading) {
+        owner.save_stream_state(words);
+      }
+      io_list(ar, words);
+      if constexpr (Ar::kLoading) {
+        std::size_t cursor = 0;
+        try {
+          owner.load_stream_state(words, cursor);
+        } catch (const std::invalid_argument& e) {
+          throw SnapshotError(std::string("invalid snapshot: ") + e.what());
+        }
+        expect(cursor == words.size(), what);
+      }
+    };
+    stream(*sim.algorithm_, "algorithm stream state not fully consumed");
+    stream(*sim.traffic_, "traffic stream state not fully consumed");
+  }
+
+  template <class Ar, class S>
+  static void visit_packets(Ar& ar, S& packets, const Topology& topo,
+                            const SimKnobs& k, Cycle now) {
+    if constexpr (Ar::kLoading) {
+      packets.clear();
+    }
+    const std::size_t routes = ar.count(packets.routes_.size(), 20);
+    for (std::size_t i = 0; i < routes; ++i) {
+      const auto id = static_cast<RouteId>(i);
+      PacketRoute rt = Ar::kLoading ? PacketRoute{} : packets.routes_.get(id);
+      ar.io(rt.src, rt.dst, rt.down_node, rt.up_exit, rt.initial_vcs,
+            rt.rc_absorb, rt.rc_unit);
+      if constexpr (Ar::kLoading) {
+        // route() walks XY legs toward the intermediate routers (and
+        // XyRouteTable::step serves same-mesh pairs only); an RC packet is
+        // absorbed by the unit above its up VL.
+        const bool up_ok = on_mesh(topo, rt.up_exit, kInterposer) &&
+                           topo.node(rt.up_exit).vl != kInvalidVl;
+        const VerticalLink* up =
+            up_ok ? &topo.vl(topo.node(rt.up_exit).vl) : nullptr;
+        expect(is_endpoint(topo, rt.src) && is_endpoint(topo, rt.dst) &&
+                   (rt.down_node == kInvalidNode ||
+                    (on_mesh(topo, rt.down_node, topo.node(rt.src).chiplet) &&
+                     topo.node(rt.down_node).is_boundary)) &&
+                   (rt.up_exit == kInvalidNode ||
+                    (up && up->chiplet == topo.node(rt.dst).chiplet)) &&
+                   rt.rc_absorb == (rt.rc_unit != kInvalidNode) &&
+                   (rt.rc_unit == kInvalidNode ||
+                    (up && rt.rc_unit == up->chiplet_node)) &&
+                   (rt.initial_vcs & ~all_vcs_mask(k.num_vcs)) == 0,
+               "route names a router off its path");
+        // Interning in saved id order reproduces every RouteId (ids are
+        // dense in first-appearance order).
+        expect(packets.routes_.intern(rt) == id, "duplicate routes");
+      }
+    }
+    const std::size_t n = ar.count(packets.hot_.size(), 8 + 24);
+    if constexpr (Ar::kLoading) {
+      packets.hot_.resize(n);
+      packets.times_.resize(n);
+    }
+    for (auto& h : packets.hot_) {
+      ar.index(h.route, 0, static_cast<std::int64_t>(routes), "packet route");
+      ar.index(h.size, k.packet_size, k.packet_size + 1, "packet size");
+      ar.io(h.app, h.measured);
+    }
+    for (auto& t : packets.times_) {
+      ar.index(t.created, 0, now + 1, "packet creation cycle");
+      ar.index(t.net_injected, -1, now + 1, "packet injection cycle");
+      ar.index(t.ejected, -1, now + 1, "packet ejection cycle");
+    }
+  }
+
+  template <class Ar, class S>
+  static void visit_network(Ar& ar, S& net, std::size_t packets) {
+    if (net.num_shards_ != 1 || net.lanes_.size() != 1) {
+      throw SnapshotError("save_snapshot: stepped runs are serial");
+    }
+    // A pause is a cycle boundary, so every staged outbox is empty on save
+    // (anything else means the caller paused somewhere illegal). Loading
+    // drops the RC output credits prepare() staged: the saved credit
+    // planes already include their commit.
+    const auto outboxes = [](auto& boxes) {
+      for (auto& box : boxes) {
+        if constexpr (Ar::kLoading) {
+          box.clear();
+        } else if (!box.empty()) {
+          throw SnapshotError("save_snapshot: staged network moves pending");
+        }
+      }
+    };
+    outboxes(net.staged_arrivals_);
+    outboxes(net.staged_credits_);
+    outboxes(net.staged_ejections_);
+    outboxes(net.rc_departures_);
+    outboxes(net.staged_rc_out_credits_);
+
+    const Topology& topo = *net.topo_;
+    const int vcs = net.num_vcs_;
+    const int depth = net.buffer_depth_;
+    ar.size(net.routers_.size(), "router count");
+    for (NodeId node = 0; node < topo.num_nodes(); ++node) {
+      auto& rs = net.routers_[static_cast<std::size_t>(node)];
+      if constexpr (Ar::kLoading) {
+        rs.flits = FlitStore{};
+      }
+      for (int lane = 0; lane < kNumLanes; ++lane) {
+        // Only a configured VC of an input this router has holds flits.
+        const Port port = static_cast<Port>(lane / kMaxVcs);
+        const bool input = port == Port::local ||
+                           (port == Port::rc && topo.node(node).is_boundary) ||
+                           topo.in_channel(node, port) != kInvalidChannel;
+        auto fill = static_cast<std::uint8_t>(rs.flits.size(lane));
+        ar.index(fill, 0, input && lane % kMaxVcs < vcs ? depth + 1 : 1,
+                 "lane fill");
+        for (int off = 0; off < fill; ++off) {
+          Flit f = Ar::kLoading ? Flit{} : rs.flits.peek(lane, off);
+          io_flit(ar, f, packets);
+          if constexpr (Ar::kLoading) {
+            rs.flits.push(lane, f);
+          }
+        }
+      }
+      for (auto& in : rs.in) {
+        ar.io(in.route_ready);
+        ar.index(in.decision.out_port, 0, kNumPorts, "route port");
+        ar.io(in.decision.vcs);
+        ar.index(in.out_vc, -1, vcs, "held output VC");
+      }
+      for (auto& out : rs.out) {
+        ar.index(out.owner_port, -1, kNumPorts, "output VC owner port");
+        ar.index(out.owner_vc, -1, vcs, "output VC owner VC");
+        ar.io(out.credits);  // validate() checks them against the lanes
+      }
+      const auto pointers = [&ar](auto& ptrs, int slots) {
+        for (auto& ptr : ptrs) {
+          ar.index(ptr, 0, slots, "arbiter pointer");
+        }
+      };
+      pointers(rs.va_ptr, kNumPorts * vcs);
+      pointers(rs.ovc_ptr, vcs);
+      pointers(rs.sa_ptr, kNumPorts * vcs);
+      ar.io(rs.occupancy, rs.owned);  // validate() re-derives both
+    }
+    io_plane(ar, net.channel_faulty_, "channel count");
+    io_plane(ar, net.vl_next_free_, "VL channel count");
+    for (auto* credits : {&net.local_credit_, &net.rc_in_credit_}) {
+      ar.size(credits->size(), "credit plane size");
+      for (auto& c : *credits) {
+        std::int64_t wide = c;  // stored as i64
+        ar.index(wide, 0, depth + 1, "credit");
+        if constexpr (Ar::kLoading) {
+          c = static_cast<int>(wide);
+        }
+      }
+    }
+    io_plane(ar, net.lanes_[0].active, "router worklist size");
+    ar.io(net.lanes_[0].flits_buffered, net.lanes_[0].moves);
+  }
+
+  template <class Ar, class S>
+  static void visit_nis(Ar& ar, S& nis, const PacketTable& packets,
+                        const Topology& topo, int vcs) {
+    const auto num_packets = static_cast<std::int64_t>(packets.size());
+    ar.size(nis.size(), "NI count");
+    for (auto& ni : nis) {
+      ar.size(ni.node_, "NI endpoint");
+      // prepare() rebuilt the counter-mode route stream's key from
+      // (seed, node); only its draw count is run state (0 in serial mode).
+      std::array<std::uint64_t, 4> rng = ni.rng_.state();
+      std::uint64_t draws = ni.route_rng_.counter();
+      ar.io(rng[0], rng[1], rng[2], rng[3], draws);
+      // Only the unconsumed queue slice is observable; it loads at head 0.
+      const std::size_t queued =
+          ar.count(ni.queue_.size() - ni.queue_head_, 4);
+      if constexpr (Ar::kLoading) {
+        ni.rng_.set_state(rng);
+        ni.route_rng_.set_counter(draws);
+        ni.queue_.assign(queued, -1);
+        ni.queue_head_ = 0;
+      }
+      for (std::size_t i = ni.queue_head_; i < ni.queue_.size(); ++i) {
+        ar.index(ni.queue_[i], 0, num_packets, "queued packet");
+      }
+      ar.index(ni.active_, -1, num_packets, "active packet");
+      ar.io(ni.active_size_, ni.active_initial_vcs_, ni.next_seq_);
+      ar.index(ni.vc_, -1, vcs, "NI VC");
+      ar.io(ni.perm_requested_, ni.vc_rr_);
+      io_list(ar, ni.scratch_, 5, [&](auto& req) {
+        ar.io(req.dst, req.app);
+        if constexpr (Ar::kLoading) {
+          expect(is_endpoint(topo, req.dst), "request to a non-endpoint");
+        }
+      });
+    }
+  }
+
+  template <class Ar, class S>
+  static void visit_rc(Ar& ar, S& rc, std::size_t packets, int vcs) {
+    const auto num_packets = static_cast<std::int64_t>(packets);
+    const std::int64_t nodes = rc.topo_->num_nodes();
+    ar.size(rc.units_.size(), "RC unit count");
+    for (auto& unit : rc.units_) {
+      io_list(ar, unit.queue, 16, [&](auto& req) {
+        ar.index(req.requester, 0, nodes, "RC requester");
+        ar.index(req.packet, 0, num_packets, "RC request packet");
+        ar.io(req.arrives);
+      });
+      ar.io(unit.reserved);
+      ar.index(unit.granted_to, -1, nodes, "RC grantee");
+      ar.index(unit.granted_packet, -1, num_packets, "RC granted packet");
+      ar.io(unit.grant_arrives);
+      io_list(ar, unit.buffer, 7, [&](auto& f) { io_flit(ar, f, packets); });
+      ar.io(unit.absorbing_done);
+      ar.index(unit.reinject_vc, 0, vcs, "RC re-injection VC");
+    }
+    ar.io(rc.progress_, rc.flits_held_, rc.busy_units_);
+    if constexpr (Ar::kLoading) {
+      std::uint64_t held = 0;
+      int busy = 0;
+      bool fits = true;
+      for (const auto& unit : rc.units_) {
+        held += unit.buffer.size();
+        busy += RcUnitManager::at_rest(unit) ? 0 : 1;
+        fits = fits && unit.buffer.size() <= std::size_t(rc.packet_size_);
+      }
+      expect(fits && held == rc.flits_held_ && busy == rc.busy_units_,
+             "RC unit buffers or counters disagree with the units");
+    }
+  }
+
+  template <class Ar, class S, class Sim>
+  static void visit_surgeon(Ar& ar, S& s, Sim& sim, const Network& net,
+                            std::size_t routes) {
+    // reset() rebuilt order_ and ni_of_node_, and each event reassigns the
+    // scratch: only the cursor, the fault set and the fault-window
+    // metrics carry across a pause.
+    ar.index(s.cursor_, 0, static_cast<std::int64_t>(s.order_.size()) + 1,
+             "fault event cursor");
+    std::uint64_t bits = s.faults_.bits();
+    ar.io(bits, s.lost_, s.lost_measured_, s.first_fail_);
+    io_list(ar, s.intervals_, 16,
+            [&ar](auto& range) { ar.io(range.first, range.second); });
+    io_list(ar, s.affected_);
+    if constexpr (Ar::kLoading) {
+      const Topology& topo = *sim.topo_;
+      const int vls = topo.num_vl_channels();
+      expect((vls >= 64 || (bits >> vls) == 0) && s.affected_.size() <= routes,
+             "fault set names a missing VL or route");
+      // Each VL channel is one channel: rebuild the set from the bits and
+      // check the network's marks against it.
+      s.faults_ = VlFaultSet{};
+      for (ChannelId c = 0; c < topo.num_channels(); ++c) {
+        const VlChannelId vl = topo.channel(c).vl_channel;
+        const bool faulty = vl >= 0 && vl < 64 && ((bits >> vl) & 1) != 0;
+        expect(net.channel_faulty_[static_cast<std::size_t>(c)] == faulty,
+               "channel fault marks disagree with the fault set");
+        if (faulty) {
+          s.faults_.set_faulty(vl);
+        }
+      }
+      // Events applied before the pause changed the fault set: rebuild the
+      // algorithm's tables for it (set_faults() leaves the RNG alone; the
+      // stream state loaded earlier completes the picture).
+      if (bits != sim.faults_.bits()) {
+        sim.algorithm_->set_faults(s.faults_);
+      }
+    }
+  }
+
+  template <class Ar, class S>
+  static void visit_worklists(Ar& ar, S& ws, const LoopState& loop) {
+    io_list(ar, ws.busy_);
+    io_list(ar, ws.wake_);
+    // A binary heap's vector layout is deterministic: it loads verbatim.
+    const auto nis = static_cast<std::int64_t>(ws.nis_.size());
+    io_list(ar, ws.events_, 16, [&](auto& event) {
+      ar.io(event.first);
+      ar.index(event.second, 0, nis, "event NI");
+    });
+    io_list(ar, ws.net_latencies_);
+    io_list(ar, ws.total_latencies_);
+    // An unprimed run (re)builds the masks on its first advance().
+    if constexpr (Ar::kLoading) {
+      const auto words = static_cast<std::size_t>((nis + 63) / 64);
+      expect(!loop.primed || !loop.lookahead ||
+                 (ws.busy_.size() == words && ws.wake_.size() == words &&
+                  std::count(ws.wake_.begin(), ws.wake_.end(), 0) ==
+                      static_cast<std::ptrdiff_t>(words) &&
+                  (nis % 64 == 0 || (ws.busy_.back() >> (nis % 64)) == 0)),
+             "NI worklist masks do not fit the NIs");
+    }
+  }
+
+  template <class Ar, class S>
+  static void visit_results(Ar& ar, S& res) {
+    // Only the fields the phase loops mutate mid-run; finish() fills the
+    // rest.
+    ar.io(res.flit_hops, res.flits_ejected_in_window);
+    ar.size(res.region_vc_flits.size(), "region count");
+    for (auto& per_vc : res.region_vc_flits) {
+      std::apply([&ar](auto&... f) { ar.io(f...); }, per_vc);
+    }
+    io_plane(ar, res.vl_channel_flits, "VL plane size");
+  }
+
+  static void validate(const Simulator& sim, const SimWorkspace& ws);
 };
 
 std::string SnapshotAccess::fingerprint(const Simulator& sim) {
@@ -216,558 +549,111 @@ std::string SnapshotAccess::fingerprint(const Simulator& sim) {
   return out.str();
 }
 
-void SnapshotAccess::save_stepper(Writer& w, const SimStepper& st) {
-  const LoopState& s = st.loop_;
-  w.i64(s.measure_end);
-  w.i64(s.hard_end);
-  w.i64(s.now);
-  w.i64(s.idle_cycles);
-  w.b(s.lookahead);
-  w.b(s.primed);
-  w.b(s.deadlock);
-  w.b(s.drained);
-  w.b(st.done_);
-  w.u64(s.counters.created);
-  w.u64(s.counters.created_measured);
-  w.u64(s.counters.dropped_unroutable);
-  w.u64(s.delivered_measured);
-}
-
-void SnapshotAccess::restore_stepper(Reader& r, SimStepper& st) {
-  LoopState& s = st.loop_;
-  s.measure_end = r.i64();
-  s.hard_end = r.i64();
-  s.now = r.i64();
-  s.idle_cycles = r.i64();
-  s.lookahead = r.b();
-  s.primed = r.b();
-  s.deadlock = r.b();
-  s.drained = r.b();
-  st.done_ = r.b();
-  s.counters.created = r.u64();
-  s.counters.created_measured = r.u64();
-  s.counters.dropped_unroutable = r.u64();
-  s.delivered_measured = r.u64();
-}
-
-void SnapshotAccess::save_streams(Writer& w, const Simulator& sim) {
-  std::vector<std::uint64_t> words;
-  sim.algorithm_->save_stream_state(words);
-  write_u64_vec(w, words);
-  words.clear();
-  sim.traffic_->save_stream_state(words);
-  write_u64_vec(w, words);
-}
-
-void SnapshotAccess::restore_streams(Reader& r, Simulator& sim) {
-  std::vector<std::uint64_t> words;
-  std::size_t cursor = 0;
-  read_u64_vec(r, words);
-  sim.algorithm_->load_stream_state(words, cursor);
-  if (cursor != words.size()) {
-    throw SnapshotError("algorithm stream state not fully consumed");
-  }
-  read_u64_vec(r, words);
-  cursor = 0;
-  sim.traffic_->load_stream_state(words, cursor);
-  if (cursor != words.size()) {
-    throw SnapshotError("traffic stream state not fully consumed");
-  }
-}
-
-void SnapshotAccess::save_packets(Writer& w, const PacketTable& packets) {
-  const RouteStore& store = packets.routes_;
-  w.u64(store.size());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    const PacketRoute& rt = store.get(static_cast<RouteId>(i));
-    w.i32(rt.src);
-    w.i32(rt.dst);
-    w.i32(rt.down_node);
-    w.i32(rt.up_exit);
-    w.u8(rt.initial_vcs);
-    w.b(rt.rc_absorb);
-    w.i32(rt.rc_unit);
-  }
-  w.u64(packets.hot_.size());
-  for (const PacketHot& h : packets.hot_) {
-    w.i32(h.route);
-    w.u16(h.size);
-    w.u8(h.app);
-    w.b(h.measured);
-  }
-  for (const PacketTimes& t : packets.times_) {
-    w.i64(t.created);
-    w.i64(t.net_injected);
-    w.i64(t.ejected);
-  }
-}
-
-void SnapshotAccess::restore_packets(Reader& r, PacketTable& packets) {
-  packets.clear();
-  // Re-interning the saved routes in saved id order reproduces every
-  // RouteId exactly (interning assigns ids densely in first-appearance
-  // order), so the hot plane's route references and the surgeon's
-  // per-route affected_ plane stay valid verbatim.
-  const std::size_t num_routes = r.count(20);
-  for (std::size_t i = 0; i < num_routes; ++i) {
-    PacketRoute rt;
-    rt.src = r.i32();
-    rt.dst = r.i32();
-    rt.down_node = r.i32();
-    rt.up_exit = r.i32();
-    rt.initial_vcs = r.u8();
-    rt.rc_absorb = r.b();
-    rt.rc_unit = r.i32();
-    if (packets.routes_.intern(rt) != static_cast<RouteId>(i)) {
-      throw SnapshotError("snapshot route plane holds duplicate routes");
-    }
-  }
-  const std::size_t num_packets = r.count(8);
-  packets.hot_.resize(num_packets);
-  for (PacketHot& h : packets.hot_) {
-    h.route = r.i32();
-    h.size = r.u16();
-    h.app = r.u8();
-    h.measured = r.b();
-    if (h.route < 0 || static_cast<std::size_t>(h.route) >= num_routes) {
-      throw SnapshotError("snapshot packet references missing route");
-    }
-  }
-  packets.times_.resize(num_packets);
-  for (PacketTimes& t : packets.times_) {
-    t.created = r.i64();
-    t.net_injected = r.i64();
-    t.ejected = r.i64();
-  }
-}
-
-void SnapshotAccess::save_network(Writer& w, const Network& net) {
-  if (net.num_shards_ != 1 || net.lanes_.size() != 1) {
-    throw SnapshotError("save_snapshot: stepped runs are serial");
-  }
-  // A stepper pause is a cycle boundary: every staged outbox must have
-  // been committed. An occupied outbox means the caller paused somewhere
-  // illegal, and the snapshot would silently drop the staged moves.
-  for (const auto& box : net.staged_arrivals_) {
-    if (!box.empty()) {
-      throw SnapshotError("save_snapshot: staged arrivals pending");
-    }
-  }
-  for (const auto& box : net.staged_credits_) {
-    if (!box.empty()) {
-      throw SnapshotError("save_snapshot: staged credits pending");
-    }
-  }
-  for (const auto& box : net.staged_ejections_) {
-    if (!box.empty()) {
-      throw SnapshotError("save_snapshot: staged ejections pending");
-    }
-  }
-  for (const auto& box : net.rc_departures_) {
-    if (!box.empty()) {
-      throw SnapshotError("save_snapshot: staged RC departures pending");
-    }
-  }
-  for (const auto& box : net.staged_rc_out_credits_) {
-    if (!box.empty()) {
-      throw SnapshotError("save_snapshot: staged RC credits pending");
-    }
-  }
-
-  w.u64(net.routers_.size());
-  for (const RouterState& rs : net.routers_) {
+void SnapshotAccess::validate(const Simulator& sim, const SimWorkspace& ws) {
+  const Topology& topo = *sim.topo_;
+  const Network& net = ws.net_;
+  const PacketTable& packets = ws.packets_;
+  const int vcs = net.num_vcs_;
+  const int depth = net.buffer_depth_;
+  // Every buffered flit is one (packet, seq) of a packet in flight, on a
+  // mesh its route crosses (route() serves no other).
+  std::vector<std::uint64_t> census;  // packet << 16 | seq
+  const auto count = [&](const Flit& f, NodeId at) {
+    const PacketTimes& t = packets.times(f.packet);
+    const std::uint16_t size = packets.hot(f.packet).size;
+    const PacketRoute& rt = packets.route_of(f.packet);
+    const int here = topo.node(at).chiplet;
+    const int src = topo.node(rt.src).chiplet;
+    const int dst = topo.node(rt.dst).chiplet;
+    expect(t.net_injected >= 0 && t.ejected < 0 && f.seq < size &&
+               f.kind == flit_kind(f.seq, size) &&
+               (here == src || here == dst ||
+                (here == kInterposer && src != dst)),
+           "flit of a packet that is not in flight here");
+    census.push_back(std::uint64_t(f.packet) << 16 | f.seq);
+  };
+  const std::vector<std::uint64_t>& active = net.lanes_[0].active;
+  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+    const RouterState& r = net.routers_[static_cast<std::size_t>(n)];
+    std::uint32_t owned = 0;
     for (int lane = 0; lane < kNumLanes; ++lane) {
-      const int n = rs.flits.size(lane);
-      w.u8(static_cast<std::uint8_t>(n));
-      for (int off = 0; off < n; ++off) {
-        write_flit(w, rs.flits.peek(lane, off));
+      const int v = lane % kMaxVcs;
+      const auto port = static_cast<Port>(lane / kMaxVcs);
+      for (int off = 0; off < r.flits.size(lane); ++off) {
+        count(r.flits.peek(lane, off), n);
       }
-    }
-    for (const InputVcState& in : rs.in) {
-      w.b(in.route_ready);
-      w.u8(static_cast<std::uint8_t>(port_index(in.decision.out_port)));
-      w.u8(in.decision.vcs);
-      w.i8(in.out_vc);
-    }
-    for (const OutputVc& out : rs.out) {
-      w.i8(out.owner_port);
-      w.i8(out.owner_vc);
-      w.i16(out.credits);
-    }
-    for (int p = 0; p < kNumPorts; ++p) {
-      w.u8(rs.va_ptr[static_cast<std::size_t>(p)]);
-    }
-    for (int p = 0; p < kNumPorts; ++p) {
-      w.u8(rs.ovc_ptr[static_cast<std::size_t>(p)]);
-    }
-    for (int p = 0; p < kNumPorts; ++p) {
-      w.u8(rs.sa_ptr[static_cast<std::size_t>(p)]);
-    }
-    w.u64(rs.occupancy);
-    w.u32(rs.owned);
-  }
-  w.u64(net.channel_faulty_.size());
-  for (const char c : net.channel_faulty_) {
-    w.u8(static_cast<std::uint8_t>(c));
-  }
-  w.u64(net.vl_next_free_.size());
-  for (const Cycle c : net.vl_next_free_) {
-    w.i64(c);
-  }
-  w.u64(net.local_credit_.size());
-  for (const int c : net.local_credit_) {
-    w.i64(c);
-  }
-  w.u64(net.rc_in_credit_.size());
-  for (const int c : net.rc_in_credit_) {
-    w.i64(c);
-  }
-  const auto& lane = net.lanes_[0];
-  write_u64_vec(w, lane.active);
-  w.u64(lane.flits_buffered);
-  w.u64(lane.moves);
-}
-
-void SnapshotAccess::restore_network(Reader& r, Network& net) {
-  // prepare() pre-stages the RC units' initial output credits, which a
-  // normal run commits in its first apply(). The saved credit planes
-  // already include that commit, so the fresh staging is discarded along
-  // with every other outbox before the saved state takes over.
-  for (auto& box : net.staged_arrivals_) {
-    box.clear();
-  }
-  for (auto& box : net.staged_credits_) {
-    box.clear();
-  }
-  for (auto& box : net.staged_ejections_) {
-    box.clear();
-  }
-  for (auto& box : net.rc_departures_) {
-    box.clear();
-  }
-  for (auto& box : net.staged_rc_out_credits_) {
-    box.clear();
-  }
-  if (r.count(100) != net.routers_.size()) {
-    throw SnapshotError("snapshot router count mismatch");
-  }
-  for (RouterState& rs : net.routers_) {
-    rs.flits = FlitStore{};
-    for (int lane = 0; lane < kNumLanes; ++lane) {
-      const int n = r.u8();
-      if (n > kMaxBufferDepth) {
-        throw SnapshotError("snapshot flit lane overflows buffer depth");
+      const OutputVc& out = r.out[static_cast<std::size_t>(lane)];
+      expect((out.owner_port < 0) == (out.owner_vc < 0),
+             "half-owned output VC");
+      owned |= out.owner_port >= 0 ? std::uint32_t{1} << lane : 0;
+      // Credits mirror the slots they guard: the NI and RC-unit credits a
+      // local or RC input lane, an output VC the input across its channel.
+      // The RC output pool (VC 0) holds up to a packet; ejection never
+      // runs out; every other output VC stays at zero (the adaptive
+      // routers' credit view sums all of a port's VCs).
+      if (v < vcs && (port == Port::local || port == Port::rc)) {
+        const auto& plane =
+            port == Port::local ? net.local_credit_ : net.rc_in_credit_;
+        expect(plane[net.index(n, v)] == depth - r.flits.size(lane),
+               "NI or RC credits disagree with their lane");
       }
-      for (int off = 0; off < n; ++off) {
-        rs.flits.push(lane, read_flit(r));
+      const ChannelId ch = topo.out_channel(n, port);
+      int lo = 0;
+      int hi = 0;
+      if (v >= vcs) {
+      } else if (port == Port::local) {
+        lo = hi = 0x3fff;
+      } else if (port == Port::rc) {
+        hi = v == 0 && topo.node(n).is_boundary ? ws.rc_units_.packet_size_
+                                                : 0;
+      } else if (ch != kInvalidChannel) {
+        const Channel& c = topo.channel(ch);
+        lo = hi = depth - net.routers_[static_cast<std::size_t>(c.dst)]
+                              .flits.size(FlitStore::lane_of(
+                                  port_index(c.dst_port), v));
       }
+      expect(out.credits >= lo && out.credits <= hi,
+             "output credits disagree with the lane downstream");
     }
-    for (InputVcState& in : rs.in) {
-      in.route_ready = r.b();
-      in.decision.out_port = static_cast<Port>(r.u8());
-      in.decision.vcs = r.u8();
-      in.out_vc = r.i8();
-    }
-    for (OutputVc& out : rs.out) {
-      out.owner_port = r.i8();
-      out.owner_vc = r.i8();
-      out.credits = r.i16();
-    }
-    for (int p = 0; p < kNumPorts; ++p) {
-      rs.va_ptr[static_cast<std::size_t>(p)] = r.u8();
-    }
-    for (int p = 0; p < kNumPorts; ++p) {
-      rs.ovc_ptr[static_cast<std::size_t>(p)] = r.u8();
-    }
-    for (int p = 0; p < kNumPorts; ++p) {
-      rs.sa_ptr[static_cast<std::size_t>(p)] = r.u8();
-    }
-    rs.occupancy = r.u64();
-    rs.owned = r.u32();
+    expect(r.occupancy == r.flits.occupied_mask() && r.owned == owned &&
+               (r.occupancy == 0 ||
+                ((active[static_cast<std::size_t>(n) / 64] >> (n % 64)) & 1)),
+           "router masks disagree with its lanes");
   }
-  if (r.count(1) != net.channel_faulty_.size()) {
-    throw SnapshotError("snapshot channel count mismatch");
-  }
-  for (char& c : net.channel_faulty_) {
-    c = static_cast<char>(r.u8());
-  }
-  if (r.count(8) != net.vl_next_free_.size()) {
-    throw SnapshotError("snapshot VL channel count mismatch");
-  }
-  for (Cycle& c : net.vl_next_free_) {
-    c = r.i64();
-  }
-  if (r.count(8) != net.local_credit_.size()) {
-    throw SnapshotError("snapshot credit plane size mismatch");
-  }
-  for (int& c : net.local_credit_) {
-    c = static_cast<int>(r.i64());
-  }
-  if (r.count(8) != net.rc_in_credit_.size()) {
-    throw SnapshotError("snapshot RC credit plane size mismatch");
-  }
-  for (int& c : net.rc_in_credit_) {
-    c = static_cast<int>(r.i64());
-  }
-  auto& lane = net.lanes_[0];
-  read_u64_vec(r, lane.active);
-  lane.flits_buffered = r.u64();
-  lane.moves = r.u64();
-}
-
-void SnapshotAccess::save_nis(Writer& w,
-                              const std::vector<NetworkInterface>& nis) {
-  w.u64(nis.size());
-  for (const NetworkInterface& ni : nis) {
-    w.i32(ni.node_);
-    for (const std::uint64_t word : ni.rng_.state()) {
-      w.u64(word);
-    }
-    // Counter-mode route stream: the key is a pure function of
-    // (seed, node) and is rebuilt by prepare(); only the draw count is
-    // run state. Always written (0 in serial mode) - format v2.
-    w.u64(ni.route_rng_.counter());
-    // Only the unconsumed queue slice is observable; it restores at
-    // head 0 (the cursor position is not behavior-affecting).
-    w.u64(ni.queue_.size() - ni.queue_head_);
-    for (std::size_t i = ni.queue_head_; i < ni.queue_.size(); ++i) {
-      w.i32(ni.queue_[i]);
-    }
-    w.i32(ni.active_);
-    w.u16(ni.active_size_);
-    w.u8(ni.active_initial_vcs_);
-    w.u16(ni.next_seq_);
-    w.i32(ni.vc_);
-    w.b(ni.perm_requested_);
-    w.u8(ni.vc_rr_);
-    w.u64(ni.scratch_.size());
-    for (const PacketRequest& req : ni.scratch_) {
-      w.i32(req.dst);
-      w.u8(req.app);
-    }
-  }
-}
-
-void SnapshotAccess::restore_nis(Reader& r,
-                                 std::vector<NetworkInterface>& nis) {
-  if (r.count(48) != nis.size()) {
-    throw SnapshotError("snapshot NI count mismatch");
-  }
-  for (NetworkInterface& ni : nis) {
-    if (r.i32() != ni.node_) {
-      throw SnapshotError("snapshot NI endpoint mismatch");
-    }
-    std::array<std::uint64_t, 4> state;
-    for (std::uint64_t& word : state) {
-      word = r.u64();
-    }
-    ni.rng_.set_state(state);
-    // Key and mode were already rebuilt by prepare() (both are pure
-    // functions of the fingerprint-checked knobs); resume mid-sequence.
-    ni.route_rng_.set_counter(r.u64());
-    ni.queue_.clear();
-    ni.queue_head_ = 0;
-    const std::size_t depth = r.count(4);
-    for (std::size_t i = 0; i < depth; ++i) {
-      ni.queue_.push_back(r.i32());
-    }
-    ni.active_ = r.i32();
-    ni.active_size_ = r.u16();
-    ni.active_initial_vcs_ = r.u8();
-    ni.next_seq_ = r.u16();
-    ni.vc_ = r.i32();
-    ni.perm_requested_ = r.b();
-    ni.vc_rr_ = r.u8();
-    ni.scratch_.clear();
-    const std::size_t pending = r.count(5);
-    for (std::size_t i = 0; i < pending; ++i) {
-      PacketRequest req;
-      req.dst = r.i32();
-      req.app = r.u8();
-      ni.scratch_.push_back(req);
-    }
-  }
-}
-
-void SnapshotAccess::save_rc(Writer& w, const RcUnitManager& rc) {
-  w.u64(rc.units_.size());
-  for (const auto& unit : rc.units_) {
-    w.u64(unit.queue.size());
-    for (const auto& req : unit.queue) {
-      w.i32(req.requester);
-      w.i32(req.packet);
-      w.i64(req.arrives);
-    }
-    w.b(unit.reserved);
-    w.i32(unit.granted_to);
-    w.i32(unit.granted_packet);
-    w.i64(unit.grant_arrives);
-    w.u64(unit.buffer.size());
+  expect(census.size() == net.lanes_[0].flits_buffered &&
+             (topo.num_nodes() % 64 == 0 ||
+              (active.back() >> (topo.num_nodes() % 64)) == 0),
+         "router worklist or flit counter disagrees with the lanes");
+  for (const auto& unit : ws.rc_units_.units_) {
     for (const Flit& f : unit.buffer) {
-      write_flit(w, f);
-    }
-    w.b(unit.absorbing_done);
-    w.i32(unit.reinject_vc);
-  }
-  w.u64(rc.progress_);
-  w.u64(rc.flits_held_);
-  w.i32(rc.busy_units_);
-}
-
-void SnapshotAccess::restore_rc(Reader& r, RcUnitManager& rc) {
-  if (r.count(25) != rc.units_.size()) {
-    throw SnapshotError("snapshot RC unit count mismatch");
-  }
-  for (auto& unit : rc.units_) {
-    unit.queue.clear();
-    const std::size_t queued = r.count(16);
-    for (std::size_t i = 0; i < queued; ++i) {
-      RcUnitManager::Request req;
-      req.requester = r.i32();
-      req.packet = r.i32();
-      req.arrives = r.i64();
-      unit.queue.push_back(req);
-    }
-    unit.reserved = r.b();
-    unit.granted_to = r.i32();
-    unit.granted_packet = r.i32();
-    unit.grant_arrives = r.i64();
-    unit.buffer.clear();
-    const std::size_t held = r.count(7);
-    for (std::size_t i = 0; i < held; ++i) {
-      unit.buffer.push_back(read_flit(r));
-    }
-    unit.absorbing_done = r.b();
-    unit.reinject_vc = r.i32();
-  }
-  rc.progress_ = r.u64();
-  rc.flits_held_ = r.u64();
-  rc.busy_units_ = r.i32();
-}
-
-void SnapshotAccess::save_surgeon(Writer& w, const FaultSurgeon& s) {
-  // order_ and ni_of_node_ are rebuilt deterministically by reset();
-  // the per-event scratch (doomed_ etc.) is reassigned at each event
-  // application. Only the cursor, the current fault set and the
-  // fault-window metrics carry across a pause.
-  w.u64(s.cursor_);
-  w.u64(s.faults_.bits());
-  w.u64(s.lost_);
-  w.u64(s.lost_measured_);
-  w.i64(s.first_fail_);
-  w.u64(s.intervals_.size());
-  for (const auto& [start, end] : s.intervals_) {
-    w.i64(start);
-    w.i64(end);
-  }
-  w.u64(s.affected_.size());
-  for (const char c : s.affected_) {
-    w.u8(static_cast<std::uint8_t>(c));
-  }
-}
-
-void SnapshotAccess::restore_surgeon(Reader& r, FaultSurgeon& s,
-                                     Simulator& sim) {
-  s.cursor_ = r.u64();
-  const std::uint64_t fault_bits = r.u64();
-  s.faults_ = faults_from_bits(fault_bits);
-  s.lost_ = r.u64();
-  s.lost_measured_ = r.u64();
-  s.first_fail_ = r.i64();
-  s.intervals_.clear();
-  const std::size_t intervals = r.count(16);
-  for (std::size_t i = 0; i < intervals; ++i) {
-    const Cycle start = r.i64();
-    const Cycle end = r.i64();
-    s.intervals_.push_back({start, end});
-  }
-  s.affected_.resize(r.count(1));
-  for (char& c : s.affected_) {
-    c = static_cast<char>(r.u8());
-  }
-  // Timeline events already applied before the pause changed the fault
-  // set; rebuild the algorithm's tables for it (set_faults() contract:
-  // identical state to construction under this set, RNG untouched - the
-  // stream state restored afterwards completes the picture). The
-  // network-side channel marks were restored verbatim with the planes.
-  if (fault_bits != sim.faults_.bits()) {
-    sim.algorithm_->set_faults(s.faults_);
-  }
-}
-
-void SnapshotAccess::save_worklists(Writer& w, const SimWorkspace& ws) {
-  write_u64_vec(w, ws.busy_);
-  write_u64_vec(w, ws.wake_);
-  // The scheduled-injection heap: the vector layout of a binary heap is
-  // deterministic, so it round-trips verbatim.
-  w.u64(ws.events_.size());
-  for (const auto& [cycle, ni] : ws.events_) {
-    w.i64(cycle);
-    w.u64(ni);
-  }
-  w.u64(ws.net_latencies_.size());
-  for (const std::uint32_t s : ws.net_latencies_) {
-    w.u32(s);
-  }
-  w.u64(ws.total_latencies_.size());
-  for (const std::uint32_t s : ws.total_latencies_) {
-    w.u32(s);
-  }
-}
-
-void SnapshotAccess::restore_worklists(Reader& r, SimWorkspace& ws) {
-  read_u64_vec(r, ws.busy_);
-  read_u64_vec(r, ws.wake_);
-  ws.events_.clear();
-  const std::size_t events = r.count(16);
-  for (std::size_t i = 0; i < events; ++i) {
-    const Cycle cycle = r.i64();
-    const std::size_t ni = static_cast<std::size_t>(r.u64());
-    ws.events_.push_back({cycle, ni});
-  }
-  ws.net_latencies_.resize(r.count(4));
-  for (std::uint32_t& s : ws.net_latencies_) {
-    s = r.u32();
-  }
-  ws.total_latencies_.resize(r.count(4));
-  for (std::uint32_t& s : ws.total_latencies_) {
-    s = r.u32();
-  }
-}
-
-void SnapshotAccess::save_results(Writer& w, const SimResults& res) {
-  // Only the fields the phase loops mutate mid-run; everything else is
-  // filled by finish()/finalize() after the run completes.
-  w.u64(res.flit_hops);
-  w.u64(res.flits_ejected_in_window);
-  w.u64(res.region_vc_flits.size());
-  for (const auto& per_vc : res.region_vc_flits) {
-    for (const std::uint64_t f : per_vc) {
-      w.u64(f);
+      count(f, unit.node);
     }
   }
-  w.u64(res.vl_channel_flits.size());
-  for (const std::uint64_t f : res.vl_channel_flits) {
-    w.u64(f);
+  // Every packet an NI holds is injected at its router.
+  for (const NetworkInterface& ni : ws.nis_) {
+    const auto own = [&](PacketId id) {
+      return packets.route_of(id).src == ni.node_;
+    };
+    expect((ni.active_ < 0 || own(ni.active_)) &&
+               std::all_of(ni.queue_.begin(), ni.queue_.end(), own),
+           "NI holds another source's packet");
   }
-}
-
-void SnapshotAccess::restore_results(Reader& r, SimResults& res) {
-  res.flit_hops = r.u64();
-  res.flits_ejected_in_window = r.u64();
-  if (r.count(8 * kMaxVcsStats) != res.region_vc_flits.size()) {
-    throw SnapshotError("snapshot region count mismatch");
-  }
-  for (auto& per_vc : res.region_vc_flits) {
-    for (std::uint64_t& f : per_vc) {
-      f = r.u64();
+  // A packet's flits are a gap-free run ending at the last one its NI
+  // has injected.
+  std::sort(census.begin(), census.end());
+  for (std::size_t i = 0; i < census.size(); ++i) {
+    if (i + 1 < census.size() && census[i + 1] >> 16 == census[i] >> 16) {
+      expect(census[i + 1] == census[i] + 1,
+             "packet flits are duplicated or have gaps");
+      continue;
     }
-  }
-  if (r.count(8) != res.vl_channel_flits.size()) {
-    throw SnapshotError("snapshot VL plane size mismatch");
-  }
-  for (std::uint64_t& f : res.vl_channel_flits) {
-    f = r.u64();
+    const auto id = static_cast<PacketId>(census[i] >> 16);
+    const NetworkInterface& ni = ws.nis_[static_cast<std::size_t>(
+        ws.surgeon_.ni_of_node_[static_cast<std::size_t>(
+            packets.route_of(id).src)])];
+    const int last = ni.active_ == id ? ni.next_seq_ : packets.hot(id).size;
+    expect(static_cast<int>(census[i] & 0xffff) == last - 1,
+           "packet flits end before the last injected one");
   }
 }
 
@@ -779,28 +665,18 @@ std::vector<std::uint8_t> SnapshotAccess::save(const SimStepper& st) {
     throw SnapshotError("save_snapshot: run already finished");
   }
   const Simulator& sim = *st.sim_;
-  const SimWorkspace& ws = *st.ws_;
-
+  std::string fp = fingerprint(sim);
   std::vector<std::uint8_t> payload;
-  Writer w(payload);
-  w.str(fingerprint(sim));
-  save_stepper(w, st);
-  save_streams(w, sim);
-  save_packets(w, ws.packets_);
-  save_network(w, ws.net_);
-  save_nis(w, ws.nis_);
-  save_rc(w, ws.rc_units_);
-  save_surgeon(w, ws.surgeon_);
-  save_worklists(w, ws);
-  save_results(w, ws.results_);
+  Saver w(payload);
+  io_list(w, fp);
+  visit(w, st, sim, std::as_const(*st.ws_));
 
-  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> out(std::begin(kMagic), std::end(kMagic));
   out.reserve(kHeaderBytes + payload.size());
-  out.insert(out.end(), kMagic, kMagic + 8);
-  Writer frame(out);
-  frame.u32(kSnapshotVersion);
-  frame.u64(payload.size());
-  frame.u64(fnv1a(payload.data(), payload.size()));
+  Saver frame(out);
+  const std::uint64_t len = payload.size();
+  const std::uint64_t sum = fnv1a(payload.data(), payload.size());
+  frame.io(kSnapshotVersion, len, sum);
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
@@ -815,15 +691,16 @@ void SnapshotAccess::restore(const std::vector<std::uint8_t>& data,
   if (std::memcmp(data.data(), kMagic, 8) != 0) {
     throw SnapshotError("not a DeFT snapshot (bad magic)");
   }
-  Reader header(data.data() + 8, kHeaderBytes - 8);
-  const std::uint32_t version = header.u32();
+  Loader header(data.data() + 8, kHeaderBytes - 8);
+  std::uint32_t version = 0;
+  std::uint64_t payload_len = 0;
+  std::uint64_t checksum = 0;
+  header.io(version, payload_len, checksum);
   if (version != kSnapshotVersion) {
     throw SnapshotError("unsupported snapshot version " +
                         std::to_string(version) + " (expected " +
                         std::to_string(kSnapshotVersion) + ")");
   }
-  const std::uint64_t payload_len = header.u64();
-  const std::uint64_t checksum = header.u64();
   if (payload_len != data.size() - kHeaderBytes) {
     throw SnapshotError("truncated snapshot: header promises " +
                         std::to_string(payload_len) + " payload bytes, " +
@@ -835,8 +712,9 @@ void SnapshotAccess::restore(const std::vector<std::uint8_t>& data,
     throw SnapshotError("snapshot checksum mismatch (corrupt image)");
   }
 
-  Reader r(payload, payload_len);
-  const std::string saved_fp = r.str();
+  Loader r(payload, payload_len);
+  std::string saved_fp;
+  io_list(r, saved_fp);
   const std::string expected_fp = fingerprint(sim);
   if (saved_fp != expected_fp) {
     throw SnapshotError(
@@ -847,18 +725,11 @@ void SnapshotAccess::restore(const std::vector<std::uint8_t>& data,
   // Run the normal prologue (consumes the run permit, resets every
   // workspace plane), then overwrite with the saved state.
   st.start(sim, ws);
-  restore_stepper(r, st);
-  restore_streams(r, sim);
-  restore_packets(r, ws.packets_);
-  restore_network(r, ws.net_);
-  restore_nis(r, ws.nis_);
-  restore_rc(r, ws.rc_units_);
-  restore_surgeon(r, ws.surgeon_, sim);
-  restore_worklists(r, ws);
-  restore_results(r, ws.results_);
+  visit(r, st, sim, ws);
   if (!r.exhausted()) {
     throw SnapshotError("snapshot holds trailing bytes past its payload");
   }
+  validate(sim, ws);
 }
 
 std::vector<std::uint8_t> save_snapshot(const SimStepper& stepper) {
@@ -878,33 +749,30 @@ void write_snapshot_file(const std::filesystem::path& path,
     throw SnapshotError("cannot create " + tmp.string() + ": " +
                         std::strerror(errno));
   }
+  // Drops the temp file and reports `what` with the current errno.
+  const auto fail = [&tmp](int open_fd, const std::string& what) {
+    const std::string err = std::strerror(errno);
+    if (open_fd >= 0) {
+      ::close(open_fd);
+    }
+    ::unlink(tmp.c_str());
+    throw SnapshotError("cannot " + what + ": " + err);
+  };
   std::size_t written = 0;
   while (written < data.size()) {
     const ssize_t n =
         ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw SnapshotError("cannot write " + tmp.string() + ": " + err);
+    if (n < 0 && errno != EINTR) {
+      fail(fd, "write " + tmp.string());
     }
-    written += static_cast<std::size_t>(n);
+    written += n < 0 ? 0 : static_cast<std::size_t>(n);
   }
   if (::fsync(fd) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    throw SnapshotError("cannot fsync " + tmp.string() + ": " + err);
+    fail(fd, "fsync " + tmp.string());
   }
   ::close(fd);
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string err = std::strerror(errno);
-    ::unlink(tmp.c_str());
-    throw SnapshotError("cannot rename " + tmp.string() + " to " +
-                        path.string() + ": " + err);
+    fail(-1, "rename " + tmp.string() + " to " + path.string());
   }
   // Durability of the rename itself: fsync the containing directory.
   const std::filesystem::path dir =

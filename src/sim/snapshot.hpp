@@ -11,17 +11,41 @@
 //   restore_snapshot(...); stepper.advance(); stepper.finish();
 //
 // is bit-identical to the uninterrupted run (same SimResults, same golden
-// digests). This holds for every execution mode: the stepper is always
-// serial, and the sharded core pins its results to the serial loop's, so
-// a snapshot taken on the serial stepper resumes either exactly
-// (tests/test_snapshot.cpp).
+// digests), at every cycle boundary. This holds for every execution mode:
+// the stepper is always serial, and the sharded core pins its results to
+// the serial loop's, so a snapshot taken on the serial stepper resumes
+// either exactly (tests/test_snapshot.cpp).
 //
-// A snapshot is only meaningful against the exact run configuration it
-// was taken from, so the image embeds a configuration fingerprint (knobs,
-// topology shape, algorithm and traffic names, initial fault set, fault
-// timeline, in-flight policy) and restore_snapshot() rejects any
-// mismatch. Corrupt, truncated or version-mismatched images are rejected
-// with a SnapshotError diagnostic - never restored into a wrong result.
+// The image is a schema written once: each state plane has one visit
+// that both archives run, so the saved and the restored fields cannot
+// drift apart. What a restore promises about an image depends on how it
+// went wrong:
+//
+//  * Accidental corruption (a torn write, a flipped bit) fails the FNV-1a
+//    checksum over the payload; truncation and trailing bytes fail the
+//    framing. A snapshot is only meaningful against the exact run
+//    configuration it was taken from, so the image embeds a fingerprint
+//    (knobs, topology shape, algorithm and traffic names, initial fault
+//    set, fault timeline, in-flight policy) and any mismatch is refused.
+//  * An image that passes those checks is still decoded as untrusted
+//    input. Every restored value later code indexes with is range-checked
+//    (ports, VCs, packet, route and node ids, NI indices, lane fills, the
+//    fault set), route node fields must lie on the meshes their route
+//    walks, and the cached planes (occupancy and ownership masks, the
+//    router worklist, flit and RC counters, credits, channel fault marks,
+//    loop bounds) are re-derived and compared, as is the in-flight flit
+//    census (each flit is one packet's, gap-free, on that packet's mesh).
+//    So an image with one corrupted field that still passes the checksum
+//    restores into a run that never indexes out of range
+//    (tests/test_snapshot.cpp mutates images byte by byte to hold this).
+//  * An image with in-range but wrong values can still restore into a
+//    wrong run - for instance a route swapped for another valid route
+//    while its packet is in flight, which the simulator's own invariant
+//    checks may then stop (std::logic_error) instead of finishing. The
+//    checks do not replay routing, so a crafted image whose route omits
+//    an intermediate router its algorithm needs is not refused either.
+//
+// Every refusal is a SnapshotError naming the failed check.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +59,8 @@
 namespace deft {
 
 /// Raised on any invalid snapshot image (bad magic, unsupported version,
-/// truncation, checksum failure, configuration fingerprint mismatch).
+/// truncation, checksum failure, configuration fingerprint mismatch, or a
+/// decoded value that fails a structural check).
 class SnapshotError : public std::runtime_error {
  public:
   explicit SnapshotError(const std::string& what)
@@ -58,9 +83,9 @@ std::vector<std::uint8_t> save_snapshot(const SimStepper& stepper);
 /// knobs, initial faults, timeline and policy; the embedded fingerprint
 /// is checked and any mismatch rejected. On return the stepper is paused
 /// exactly where the saved run was: advance()/finish() continue it
-/// bit-identically. Throws SnapshotError on any invalid image, leaving
-/// no partial state behind that could produce a wrong result (the
-/// stepper must simply not be used after a failed restore).
+/// bit-identically. Throws SnapshotError on any invalid image; a failed
+/// restore may have part-loaded `sim`'s algorithm and traffic streams and
+/// fault tables, so neither they nor the stepper may be used afterwards.
 void restore_snapshot(const std::vector<std::uint8_t>& data, Simulator& sim,
                       SimStepper& stepper, SimWorkspace& ws);
 

@@ -2,16 +2,19 @@
 //
 // The contract under test: pausing a stepped run at any interior cycle,
 // serializing it, and restoring the image into a fresh Simulator +
-// SimWorkspace continues the run bit-identically - the golden digests
-// pinned by test_sim_equivalence.cpp must survive a snapshot at any
-// boundary. The negative half of the contract matters as much: a
-// corrupt, truncated, version-mismatched or wrong-configuration image
-// must be rejected with a SnapshotError, never restored into a silently
-// wrong result.
+// SimWorkspace continues the run bit-identically - checked at every
+// cycle of two short runs, and against the golden digests pinned by
+// test_sim_equivalence.cpp at sampled cycles of every golden scenario.
+// The image format itself is pinned byte for byte. The negative half of
+// the contract matters as much: a corrupt, truncated, version-mismatched
+// or wrong-configuration image must be rejected with a SnapshotError,
+// and a checksum-valid mutant must either be rejected or restore into a
+// run that finishes cleanly.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <filesystem>
+#include <random>
 
 #include "core/runner.hpp"
 #include "sim/snapshot.hpp"
@@ -186,6 +189,138 @@ TEST(Snapshot, RoundTripReproducesGoldenDigests) {
       EXPECT_EQ(resumed_digest(s, image), expected);
     }
   }
+}
+
+/// FNV-1a-64 over a whole image (the same hash the image header carries
+/// over its payload).
+std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= data[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(Snapshot, ImageBytesArePinned) {
+  // The format itself, byte for byte. A field reordered (or re-typed) in
+  // both directions still round-trips, so only a pinned image notices.
+  const std::vector<std::uint8_t> image = snapshot_at(kScenarios[0], 650);
+  EXPECT_EQ(image.size(), 102035u);
+  EXPECT_EQ(fnv1a(image.data(), image.size()), 0xd97a367a9fe2048fULL);
+}
+
+/// A short run (small warmup, window and drain) of `algorithm`, with an
+/// optional fault timeline that must outlive it.
+std::unique_ptr<Run> make_short_run(Algorithm algorithm,
+                                    const FaultTimeline* timeline) {
+  auto run = std::make_unique<Run>();
+  SimKnobs knobs;
+  knobs.warmup = 100;
+  knobs.measure = 200;
+  knobs.drain_max = 400;
+  knobs.seed = 11;
+  run->algorithm = ctx4().make_algorithm(algorithm, {}, knobs.num_vcs,
+                                         VlStrategy::table);
+  run->traffic = std::make_unique<UniformTraffic>(ctx4().topo(), 0.04);
+  run->sim = std::make_unique<Simulator>(ctx4().topo(), *run->algorithm,
+                                         *run->traffic, knobs, VlFaultSet{},
+                                         timeline, InFlightPolicy::reroute);
+  return run;
+}
+
+TEST(Snapshot, EveryCycleRestoresInLockStep) {
+  // The round trip at every cycle boundary, not at sampled pause points:
+  // image(c) restored into a fresh run and advanced one cycle must equal
+  // the straight run's image(c + 1). Both runs saturate, so every plane
+  // is busy. RC covers the permission units; the DeFT run fails two VL
+  // channels and repairs one inside the window, so the surgeon's cursor,
+  // fault set and window metrics move and in-flight packets are lost.
+  const Topology& topo = ctx4().topo();
+  FaultTimeline faults;
+  faults.add_transient(topo.vl(2).down_vl_channel(), 150, 260);
+  faults.add_fail(180, topo.vl(5).up_vl_channel());
+  using Case = std::pair<Algorithm, const FaultTimeline*>;
+  for (const auto& [algorithm, timeline] :
+       {Case{Algorithm::rc, nullptr}, Case{Algorithm::deft, &faults}}) {
+    SCOPED_TRACE(algorithm_name(algorithm));
+    auto straight = make_short_run(algorithm, timeline);
+    straight->stepper.start(*straight->sim, straight->ws);
+    std::vector<std::vector<std::uint8_t>> images;  // images[c - 1]
+    do {
+      straight->stepper.advance(straight->stepper.now() + 1);
+      images.push_back(save_snapshot(straight->stepper));
+    } while (!straight->stepper.done());
+    ASSERT_GT(images.size(), 300u);
+    for (std::size_t c = 1; c < images.size(); ++c) {
+      auto run = make_short_run(algorithm, timeline);
+      restore_snapshot(images[c - 1], *run->sim, run->stepper, run->ws);
+      run->stepper.advance(static_cast<Cycle>(c) + 1);
+      ASSERT_EQ(save_snapshot(run->stepper), images[c]) << "cycle " << c;
+    }
+    if (timeline != nullptr) {
+      EXPECT_GT(straight->stepper.finish().packets_lost, 0u);
+    }
+  }
+}
+
+/// `image` with a fresh header (length and checksum) over its payload, so
+/// a mutated payload reaches field decoding instead of the checksum.
+std::vector<std::uint8_t> reframe(std::vector<std::uint8_t> image) {
+  constexpr std::size_t kHeader = 28;  // magic, version, length, checksum
+  const std::uint64_t len = image.size() - kHeader;
+  const std::uint64_t sum = fnv1a(image.data() + kHeader, len);
+  for (int i = 0; i < 8; ++i) {
+    image[12 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(len >> (8 * i));
+    image[20 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(sum >> (8 * i));
+  }
+  return image;
+}
+
+TEST(Snapshot, MutatedImagesAreRejectedOrRunCleanly) {
+  // A checksum-valid image is not a trusted one. Every mutant must either
+  // be rejected with a SnapshotError or restore into a run that finishes
+  // cleanly (the sanitizer job turns any stray index into a failure) and
+  // re-saves to the mutant byte for byte (nothing decoded was dropped or
+  // normalized away).
+  std::mt19937_64 rng(0x5eed);
+  int rejected = 0;
+  int accepted = 0;
+  for (const Scenario& s : {kScenarios[0], kScenarios[4], kScenarios[7]}) {
+    SCOPED_TRACE(s.name);
+    const std::vector<std::uint8_t> image = snapshot_at(s, 777);
+    for (int m = 0; m < 110; ++m) {
+      std::vector<std::uint8_t> mutant = image;
+      if (m % 11 == 10) {  // truncation
+        mutant.resize(28 + rng() % (image.size() - 28));
+      } else {  // one byte set to a different value
+        const std::size_t at = 28 + rng() % (image.size() - 28);
+        mutant[at] = static_cast<std::uint8_t>(
+            mutant[at] + 1 + rng() % 255);
+      }
+      mutant = reframe(std::move(mutant));
+      SCOPED_TRACE(m);
+      auto run = make_run(s);
+      try {
+        restore_snapshot(mutant, *run->sim, run->stepper, run->ws);
+      } catch (const SnapshotError&) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      EXPECT_EQ(save_snapshot(run->stepper), mutant);
+      EXPECT_NO_THROW({
+        run->stepper.advance();
+        run->stepper.finish();
+      });
+    }
+  }
+  // Both outcomes occur: the corpus is neither all header damage nor all
+  // harmless counters.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(Snapshot, RestoredRunResumesAtThePausedCycle) {

@@ -1,29 +1,14 @@
-// WorkerPool: the phase-dispatch contract run() gives the sharded core,
-// and the per-job outcome channel run_jobs() gives the campaign service -
-// a throwing job must fail exactly its own slot while every other job
-// still executes.
+// WorkerPool: the phase-dispatch contract run() gives the sharded core.
 #include "core/worker_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 namespace deft {
 namespace {
-
-std::string what_of(const std::exception_ptr& error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "<non-standard>";
-  }
-}
 
 TEST(WorkerPool, RunExecutesEveryWorkerIndexOnce) {
   WorkerPool pool(3);
@@ -48,114 +33,6 @@ TEST(WorkerPool, RunRethrowsAJobException) {
   std::atomic<int> ran{0};
   pool.run(2, [&](int) { ran++; });
   EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(WorkerPool, RunJobsExecutesEveryJobExactlyOnce) {
-  WorkerPool pool(2);
-  constexpr std::size_t kJobs = 100;
-  std::vector<std::atomic<int>> counts(kJobs);
-  const auto outcomes = pool.run_jobs(
-      3, kJobs, [&](int, std::size_t i) { counts[i]++; });
-  ASSERT_EQ(outcomes.size(), kJobs);
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << "job " << i;
-    EXPECT_EQ(outcomes[i], nullptr) << "job " << i;
-  }
-}
-
-TEST(WorkerPool, RunJobsIsolatesEveryFailureToItsSlot) {
-  WorkerPool pool(2);
-  constexpr std::size_t kJobs = 50;
-  const std::set<std::size_t> failing = {0, 7, 13, 14, 31, 49};
-  std::vector<std::atomic<int>> completed(kJobs);
-  const auto outcomes = pool.run_jobs(3, kJobs, [&](int, std::size_t i) {
-    if (failing.count(i) != 0) {
-      throw std::runtime_error("job " + std::to_string(i) + " failed");
-    }
-    completed[i]++;
-  });
-  ASSERT_EQ(outcomes.size(), kJobs);
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    if (failing.count(i) != 0) {
-      // Every failure is reported, in the right slot, with its message.
-      ASSERT_NE(outcomes[i], nullptr) << "job " << i;
-      EXPECT_EQ(what_of(outcomes[i]),
-                "job " + std::to_string(i) + " failed");
-      EXPECT_EQ(completed[i].load(), 0) << "job " << i;
-    } else {
-      // Survivors complete despite their neighbours throwing.
-      EXPECT_EQ(outcomes[i], nullptr) << "job " << i;
-      EXPECT_EQ(completed[i].load(), 1) << "job " << i;
-    }
-  }
-}
-
-TEST(WorkerPool, RunJobsNonStandardExceptionIsCapturedToo) {
-  WorkerPool pool(1);
-  const auto outcomes =
-      pool.run_jobs(2, 3, [&](int, std::size_t i) {
-        if (i == 1) {
-          throw 42;  // not derived from std::exception
-        }
-      });
-  EXPECT_EQ(outcomes[0], nullptr);
-  ASSERT_NE(outcomes[1], nullptr);
-  EXPECT_EQ(outcomes[2], nullptr);
-  EXPECT_THROW(std::rethrow_exception(outcomes[1]), int);
-}
-
-TEST(WorkerPool, RunJobsMoreWorkersThanJobs) {
-  WorkerPool pool(7);
-  std::vector<std::atomic<int>> counts(2);
-  const auto outcomes = pool.run_jobs(
-      8, 2, [&](int, std::size_t i) { counts[i]++; });
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(counts[0].load(), 1);
-  EXPECT_EQ(counts[1].load(), 1);
-}
-
-TEST(WorkerPool, RunJobsSingleWorkerRunsInline) {
-  WorkerPool pool(0);  // no pool threads: everything on the caller
-  std::vector<int> order;
-  const auto outcomes = pool.run_jobs(1, 5, [&](int worker, std::size_t i) {
-    EXPECT_EQ(worker, 0);
-    order.push_back(static_cast<int>(i));
-  });
-  EXPECT_EQ(outcomes.size(), 5u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(WorkerPool, RunJobsZeroJobs) {
-  WorkerPool pool(1);
-  EXPECT_TRUE(pool.run_jobs(2, 0, [&](int, std::size_t) {
-                FAIL() << "no job should run";
-              }).empty());
-}
-
-TEST(WorkerPool, RunJobsWorkerIndicesStayInRange) {
-  WorkerPool pool(2);
-  std::atomic<bool> in_range{true};
-  pool.run_jobs(3, 64, [&](int worker, std::size_t) {
-    if (worker < 0 || worker > 2) {
-      in_range = false;
-    }
-  });
-  EXPECT_TRUE(in_range.load());
-}
-
-TEST(WorkerPool, RunJobsReusableAfterFailures) {
-  WorkerPool pool(2);
-  for (int round = 0; round < 3; ++round) {
-    const auto outcomes = pool.run_jobs(3, 10, [&](int, std::size_t i) {
-      if (i % 2 == 0) {
-        throw std::runtime_error("even jobs fail");
-      }
-    });
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      EXPECT_EQ(outcomes[i] != nullptr, i % 2 == 0)
-          << "round " << round << " job " << i;
-    }
-  }
 }
 
 }  // namespace
