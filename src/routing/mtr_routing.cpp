@@ -28,11 +28,6 @@ bool initial_turn_allowed(const Channel& in, const Channel& out) {
   return true;
 }
 
-std::uint64_t turn_key(ChannelId in, ChannelId out) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(in)) << 32) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(out));
-}
-
 /// Shared credit-class winner tables: kWinnerK[c0][c1](..) is the index
 /// of the first maximum among K candidate credit classes - the bucketed
 /// form of "prefer the port with the most free downstream credits,
@@ -83,6 +78,319 @@ int credit_class(const RouterView& view, std::uint8_t port) {
 
 }  // namespace
 
+/// Synthesis's leg walks, kept incrementally. The roots are every
+/// endpoint's source-leg walk (from its injection), then every VL's
+/// interposer-leg walk (from its down channel), then every VL's
+/// destination-leg walk (from its up channel). Each root keeps its visited
+/// set as a bitset over line nodes, and every LegTables bit is owed to
+/// exactly one (root, visited line node) pair, so the tables are a pure
+/// function of the visited sets.
+///
+/// Forbidding the turn a -> b only removes an edge, so walks only shrink,
+/// and a root's walk can change only if it visited `a` in a leg graph
+/// where a -> b is an edge. try_forbid() re-walks just those roots, clears
+/// the bits the lost nodes owed, and re-checks only the endpoint pairs
+/// whose inputs changed: the previous restriction set kept every other
+/// pair connected. The result equals walking every root from scratch.
+class MtrPlan::LegSearch {
+ public:
+  /// Walks every root under `plan`'s current restriction set.
+  LegSearch(const MtrPlan& plan, const SynthesisGraphs& graphs);
+
+  /// Evaluates the turn a -> b, which the caller has just flagged in
+  /// forbidden_: re-walks the roots it can change and returns whether
+  /// every different-mesh endpoint pair keeps a single-crossing route.
+  /// Commits the new walks and tables on true and restores them on false.
+  /// Allocation-free once the scratch buffers have grown.
+  bool try_forbid(int a, int b);
+
+  LegTables take_legs() && { return std::move(legs_); }
+
+ private:
+  const LineGraph& graph_of(std::size_t root) const {
+    return root < num_ep_             ? graphs_->src
+           : root < num_ep_ + num_vls_ ? graphs_->mid
+                                      : graphs_->dst;
+  }
+  /// Breadth-first walk of `root` under the current restriction set into
+  /// the bitset `seen`.
+  void walk(std::size_t root, std::uint64_t* seen);
+  /// The table word and bit `root` owes to visiting line node `l`, or
+  /// {nullptr, 0} when the node records nothing.
+  std::pair<std::uint64_t*, std::uint64_t> owed(std::size_t root, int l);
+  /// Down VLs a chiplet source descends through (none for the interposer).
+  std::uint64_t downs_of(std::size_t s) const {
+    return legs_.src_downs[s] & mesh_vls_[s];
+  }
+  /// Up VLs source `s` reaches with its one crossing: through its descents
+  /// for a chiplet source, directly for an interposer source.
+  std::uint64_t reach_ups(std::size_t s) const;
+  bool pair_connected(std::size_t s, std::size_t d) const;
+  void mark(std::vector<std::size_t>& list, std::vector<char>& flag,
+            std::size_t i) {
+    if (flag[i] == 0) {
+      flag[i] = 1;
+      list.push_back(i);
+    }
+  }
+
+  const MtrPlan* plan_;
+  const SynthesisGraphs* graphs_;
+  std::size_t num_ep_;
+  std::size_t num_vls_;
+  std::size_t words_;  ///< bitset words per visited set
+  std::vector<int> start_;  ///< per root: the line node its walk starts at
+  /// Per endpoint index: its chiplet, and that chiplet's VLs (none for the
+  /// interposer).
+  std::vector<int> chiplet_;
+  std::vector<std::uint64_t> mesh_vls_;
+  std::vector<std::uint64_t> visited_;  ///< visited_[root * words_ + w]
+  LegTables legs_;
+  std::vector<std::uint64_t> ups_;  ///< per endpoint: reach_ups()
+  /// False when the unrestricted walks already leave a pair disconnected;
+  /// then no restriction can be accepted.
+  bool connected_ = true;
+
+  // try_forbid() scratch.
+  std::vector<int> queue_;
+  std::vector<std::size_t> affected_;
+  std::vector<std::uint64_t> walked_;
+  std::vector<std::pair<std::uint64_t*, std::uint64_t>> undo_;
+  std::vector<std::size_t> dirty_src_;
+  std::vector<std::size_t> dirty_dst_;
+  std::vector<char> src_flag_;
+  std::vector<char> dst_flag_;
+};
+
+MtrPlan::LegSearch::LegSearch(const MtrPlan& plan,
+                              const SynthesisGraphs& graphs)
+    : plan_(&plan),
+      graphs_(&graphs),
+      num_ep_(plan.topo().endpoints().size()),
+      num_vls_(static_cast<std::size_t>(plan.topo().num_vls())),
+      words_((static_cast<std::size_t>(graphs.src.size()) + 63) / 64) {
+  const Topology& topo = plan.topo();
+  std::vector<std::uint64_t> chiplet_vls(
+      static_cast<std::size_t>(topo.num_chiplets()), 0);
+  for (const VerticalLink& vl : topo.vls()) {
+    chiplet_vls[static_cast<std::size_t>(vl.chiplet)] |= std::uint64_t{1}
+                                                         << vl.id;
+  }
+  for (NodeId e : topo.endpoints()) {
+    const int chiplet = topo.node(e).chiplet;
+    chiplet_.push_back(chiplet);
+    mesh_vls_.push_back(chiplet == kInterposer
+                            ? 0
+                            : chiplet_vls[static_cast<std::size_t>(chiplet)]);
+    start_.push_back(graphs.src.injection_node(e));
+  }
+  for (const VerticalLink& vl : topo.vls()) {
+    start_.push_back(vl.down_channel);
+  }
+  for (const VerticalLink& vl : topo.vls()) {
+    start_.push_back(vl.up_channel);
+  }
+  legs_.src_downs.assign(num_ep_, 0);
+  legs_.src_ups.assign(num_ep_, 0);
+  legs_.mid_ups.assign(num_vls_, 0);
+  legs_.downs_to.assign(num_ep_, 0);
+  legs_.ups_to.assign(num_ep_, 0);
+  visited_.assign(start_.size() * words_, 0);
+  for (std::size_t root = 0; root < start_.size(); ++root) {
+    std::uint64_t* seen = visited_.data() + root * words_;
+    walk(root, seen);
+    for (std::size_t w = 0; w < words_; ++w) {
+      for (std::uint64_t m = seen[w]; m != 0; m &= m - 1) {
+        const auto [word, bit] =
+            owed(root, static_cast<int>(w * 64) + std::countr_zero(m));
+        if (word != nullptr) {
+          *word |= bit;
+        }
+      }
+    }
+  }
+  for (std::size_t s = 0; s < num_ep_; ++s) {
+    ups_.push_back(reach_ups(s));
+  }
+  for (std::size_t s = 0; s < num_ep_ && connected_; ++s) {
+    for (std::size_t d = 0; d < num_ep_ && connected_; ++d) {
+      connected_ = pair_connected(s, d);
+    }
+  }
+  src_flag_.assign(num_ep_, 0);
+  dst_flag_.assign(num_ep_, 0);
+}
+
+void MtrPlan::LegSearch::walk(std::size_t root, std::uint64_t* seen) {
+  const LineGraph& g = graph_of(root);
+  const std::uint8_t* port = graphs_->port.data();
+  std::fill(seen, seen + words_, 0);
+  const int start = start_[root];
+  seen[start / 64] |= std::uint64_t{1} << (start % 64);
+  queue_.clear();
+  queue_.push_back(start);
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const int cur = queue_[head];
+    const char* forbidden = plan_->forbidden_.data() + turn_slot(cur, 0);
+    for (int next : g.successors_flat(cur)) {
+      const std::uint64_t bit = std::uint64_t{1} << (next % 64);
+      if ((seen[next / 64] & bit) == 0 && forbidden[port[next]] == 0) {
+        seen[next / 64] |= bit;
+        queue_.push_back(next);
+      }
+    }
+  }
+}
+
+std::pair<std::uint64_t*, std::uint64_t> MtrPlan::LegSearch::owed(
+    std::size_t root, int l) {
+  const auto node = static_cast<std::size_t>(l);
+  const VlId down = graphs_->down_vl[node];
+  const VlId up = graphs_->up_vl[node];
+  const int ej = graphs_->ej_endpoint[node];
+  if (root < num_ep_) {
+    if (down != kInvalidVl) {
+      return {&legs_.src_downs[root], std::uint64_t{1} << down};
+    }
+    if (up != kInvalidVl) {
+      return {&legs_.src_ups[root], std::uint64_t{1} << up};
+    }
+    return {nullptr, 0};
+  }
+  if (root < num_ep_ + num_vls_) {
+    const std::size_t vl = root - num_ep_;
+    if (up != kInvalidVl) {
+      return {&legs_.mid_ups[vl], std::uint64_t{1} << up};
+    }
+    if (ej >= 0) {
+      return {&legs_.downs_to[static_cast<std::size_t>(ej)],
+              std::uint64_t{1} << vl};
+    }
+    return {nullptr, 0};
+  }
+  if (ej >= 0) {
+    return {&legs_.ups_to[static_cast<std::size_t>(ej)],
+            std::uint64_t{1} << (root - num_ep_ - num_vls_)};
+  }
+  return {nullptr, 0};
+}
+
+std::uint64_t MtrPlan::LegSearch::reach_ups(std::size_t s) const {
+  if (chiplet_[s] == kInterposer) {
+    return legs_.src_ups[s];
+  }
+  std::uint64_t ups = 0;
+  for (std::uint64_t m = downs_of(s); m != 0; m &= m - 1) {
+    ups |= legs_.mid_ups[static_cast<std::size_t>(std::countr_zero(m))];
+  }
+  return ups;
+}
+
+bool MtrPlan::LegSearch::pair_connected(std::size_t s, std::size_t d) const {
+  // Same-mesh pairs (and s == d) ride plain, unrestricted XY.
+  if (chiplet_[s] == chiplet_[d]) {
+    return true;
+  }
+  if (chiplet_[d] == kInterposer) {
+    return (downs_of(s) & legs_.downs_to[d]) != 0;
+  }
+  return (ups_[s] & mesh_vls_[d] & legs_.ups_to[d]) != 0;
+}
+
+bool MtrPlan::LegSearch::try_forbid(int a, int b) {
+  if (!connected_) {
+    return false;
+  }
+  affected_.clear();
+  const auto a_word = static_cast<std::size_t>(a / 64);
+  const std::uint64_t a_bit = std::uint64_t{1} << (a % 64);
+  const std::size_t ranges[4] = {0, num_ep_, num_ep_ + num_vls_,
+                                 start_.size()};
+  for (int g = 0; g < 3; ++g) {
+    const auto succ = graph_of(ranges[g]).successors_flat(a);
+    if (std::find(succ.begin(), succ.end(), b) == succ.end()) {
+      continue;
+    }
+    for (std::size_t root = ranges[g]; root < ranges[g + 1]; ++root) {
+      if ((visited_[root * words_ + a_word] & a_bit) != 0) {
+        affected_.push_back(root);
+      }
+    }
+  }
+
+  // Re-walk the affected roots and clear what their lost nodes owed,
+  // logging every overwritten word so a rejection can restore it.
+  walked_.resize(affected_.size() * words_);
+  undo_.clear();
+  dirty_src_.clear();
+  dirty_dst_.clear();
+  std::uint64_t dirty_mid = 0;  // descents whose reachable ascents shrank
+  for (std::size_t i = 0; i < affected_.size(); ++i) {
+    const std::size_t root = affected_[i];
+    std::uint64_t* fresh = walked_.data() + i * words_;
+    walk(root, fresh);
+    const std::uint64_t* old = visited_.data() + root * words_;
+    for (std::size_t w = 0; w < words_; ++w) {
+      for (std::uint64_t lost = old[w] & ~fresh[w]; lost != 0;
+           lost &= lost - 1) {
+        const int l = static_cast<int>(w * 64) + std::countr_zero(lost);
+        const auto [word, bit] = owed(root, l);
+        if (word == nullptr) {
+          continue;
+        }
+        undo_.emplace_back(word, *word);
+        *word &= ~bit;
+        const int ej = graphs_->ej_endpoint[static_cast<std::size_t>(l)];
+        if (root < num_ep_) {
+          mark(dirty_src_, src_flag_, root);
+        } else if (ej >= 0) {
+          mark(dirty_dst_, dst_flag_, static_cast<std::size_t>(ej));
+        } else {
+          dirty_mid |= std::uint64_t{1} << (root - num_ep_);
+        }
+      }
+    }
+  }
+  if (dirty_mid != 0) {
+    for (std::size_t s = 0; s < num_ep_; ++s) {
+      if ((downs_of(s) & dirty_mid) != 0) {
+        mark(dirty_src_, src_flag_, s);
+      }
+    }
+  }
+  for (std::size_t s : dirty_src_) {
+    undo_.emplace_back(&ups_[s], ups_[s]);
+    ups_[s] = reach_ups(s);
+  }
+
+  // Only pairs with a dirty source or destination can have lost their
+  // route.
+  bool ok = true;
+  for (std::size_t s : dirty_src_) {
+    src_flag_[s] = 0;
+    for (std::size_t d = 0; d < num_ep_ && ok; ++d) {
+      ok = pair_connected(s, d);
+    }
+  }
+  for (std::size_t d : dirty_dst_) {
+    dst_flag_[d] = 0;
+    for (std::size_t s = 0; s < num_ep_ && ok; ++s) {
+      ok = pair_connected(s, d);
+    }
+  }
+  if (ok) {
+    for (std::size_t i = 0; i < affected_.size(); ++i) {
+      std::copy_n(walked_.data() + i * words_, words_,
+                  visited_.data() + affected_[i] * words_);
+    }
+  } else {
+    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+      *it->first = it->second;
+    }
+  }
+  return ok;
+}
+
 MtrPlan::MtrPlan(const Topology& topo) : topo_(&topo) {
   require(topo.num_vls() <= 64,
           "MtrPlan: at most 64 vertical links (leg tables are 64-bit VL "
@@ -93,7 +401,7 @@ MtrPlan::MtrPlan(const Topology& topo) : topo_(&topo) {
         static_cast<int>(i);
   }
   const SynthesisGraphs graphs = make_synthesis_graphs();
-  synthesize_restrictions(graphs);
+  const LegTables legs = synthesize_restrictions(graphs);
   line_graph_ = std::make_unique<LineGraph>(
       topo, [this](const Topology&, const Channel& in, const Channel& out) {
         return turn_allowed(in.id, out.id);
@@ -101,39 +409,21 @@ MtrPlan::MtrPlan(const Topology& topo) : topo_(&topo) {
   check(connectivity_preserved(),
         "MtrPlan: synthesis broke endpoint connectivity");
   build_route_tables();
-  build_pair_combos(graphs);
+  build_pair_combos(legs);
 }
 
 bool MtrPlan::turn_allowed(ChannelId in, ChannelId out) const {
   const Channel& cin = topo_->channel(in);
   const Channel& cout = topo_->channel(out);
-  if (!initial_turn_allowed(cin, cout)) {
-    return false;
-  }
-  return forbidden_.find(turn_key(in, out)) == forbidden_.end();
-}
-
-void MtrPlan::channel_turn_adjacency(
-    const SynthesisGraphs& graphs,
-    std::vector<std::vector<int>>& adj) const {
-  adj.resize(graphs.turns.size());
-  for (std::size_t in = 0; in < graphs.turns.size(); ++in) {
-    adj[in].clear();
-    for (int out : graphs.turns[in]) {
-      if (!restricted(graphs, static_cast<int>(in), out)) {
-        adj[in].push_back(out);
-      }
-    }
-  }
+  require(cout.src == cin.dst, "MtrPlan::turn_allowed: channels not adjacent");
+  return initial_turn_allowed(cin, cout) &&
+         forbidden_[turn_slot(in, port_index(cout.src_port))] == 0;
 }
 
 bool MtrPlan::connectivity_preserved() const {
   // Every endpoint must reach every other endpoint inside the allowed-turn
   // graph. One BFS per source endpoint over the line graph.
-  const LineGraph graph(
-      *topo_, [this](const Topology&, const Channel& in, const Channel& out) {
-        return turn_allowed(in.id, out.id);
-      });
+  const LineGraph& graph = *line_graph_;
   std::vector<char> seen;
   std::deque<int> queue;
   for (NodeId s : topo_->endpoints()) {
@@ -162,20 +452,24 @@ bool MtrPlan::connectivity_preserved() const {
   return true;
 }
 
-bool MtrPlan::try_synthesize(const SynthesisGraphs& graphs, Rng* shuffle) {
+bool MtrPlan::try_synthesize(const SynthesisGraphs& graphs,
+                             const LegSearch& initial, Rng* shuffle,
+                             LegSearch& search) {
   // Greedy cycle breaking: while the channel turn graph has a cycle, forbid
   // one restrictable turn on it whose removal keeps every endpoint pair
   // connected. Cycles cannot live inside a single mesh (XY is acyclic), so
   // every cycle crosses a vertical channel and offers restrictable turns.
-  forbidden_.clear();
-  std::vector<std::vector<int>> adj;
-  while (true) {
-    std::vector<int> cycle;
-    channel_turn_adjacency(graphs, adj);
-    if (is_acyclic(adj, &cycle)) {
-      return true;
-    }
-    std::vector<std::pair<ChannelId, ChannelId>> candidates;
+  std::fill(forbidden_.begin(), forbidden_.end(), 0);
+  restricted_turns_ = 0;
+  search = initial;
+  // The allowed channel turns: an accepted restriction erases its one edge
+  // in place, so successor order - and with it the cycle is_acyclic
+  // reports - is that of the adjacency rebuilt under the restriction set.
+  std::vector<std::vector<int>> adj = graphs.turns;
+  std::vector<int> cycle;
+  std::vector<std::pair<ChannelId, ChannelId>> candidates;
+  while (!is_acyclic(adj, &cycle)) {
+    candidates.clear();
     for (std::size_t i = 0; i + 1 < cycle.size(); ++i) {
       const ChannelId a = cycle[i];
       const ChannelId b = cycle[i + 1];
@@ -190,36 +484,48 @@ bool MtrPlan::try_synthesize(const SynthesisGraphs& graphs, Rng* shuffle) {
     }
     bool restricted = false;
     for (const auto& [a, b] : candidates) {
-      forbidden_.insert(turn_key(a, b));
-      if (leg_connectivity_ok(compute_leg_tables(graphs))) {
+      char& flag =
+          forbidden_[turn_slot(a, graphs.port[static_cast<std::size_t>(b)])];
+      flag = 1;
+      if (search.try_forbid(a, b)) {
+        std::vector<int>& succ = adj[static_cast<std::size_t>(a)];
+        succ.erase(std::find(succ.begin(), succ.end(), b));
+        ++restricted_turns_;
         restricted = true;
         break;
       }
-      forbidden_.erase(turn_key(a, b));
+      flag = 0;
     }
     if (!restricted) {
       return false;  // greedy wedged itself; caller restarts with a shuffle
     }
   }
+  return true;
 }
 
-void MtrPlan::synthesize_restrictions(const SynthesisGraphs& graphs) {
+MtrPlan::LegTables MtrPlan::synthesize_restrictions(
+    const SynthesisGraphs& graphs) {
   // First-fit order is deterministic and usually converges; when it wedges
   // (every restrictable turn on some cycle has become load-bearing),
   // restart with seeded random candidate orders. The seed sequence is
   // fixed, so the resulting plan is still deterministic per topology.
-  if (try_synthesize(graphs, nullptr)) {
-    return;
+  // Every try starts from the walks of the empty restriction set.
+  forbidden_.assign(graphs.port.size() * kNumPorts, 0);
+  const LegSearch initial(*this, graphs);
+  LegSearch search = initial;
+  if (try_synthesize(graphs, initial, nullptr, search)) {
+    return std::move(search).take_legs();
   }
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     Rng rng(seed);
-    if (try_synthesize(graphs, &rng)) {
-      return;
+    if (try_synthesize(graphs, initial, &rng, search)) {
+      return std::move(search).take_legs();
     }
   }
   check(false,
         "MtrPlan: turn-restriction synthesis failed to converge on this "
         "topology");
+  return {};
 }
 
 void MtrPlan::build_route_tables() {
@@ -301,7 +607,7 @@ MtrPlan::SynthesisGraphs MtrPlan::make_synthesis_graphs() const {
       .down_vl = {},
       .up_vl = {},
       .ej_endpoint = {},
-      .vertical = {},
+      .port = {},
   };
   // Same line-node id layout in all three graphs.
   const std::size_t n = static_cast<std::size_t>(graphs.src.size());
@@ -317,11 +623,12 @@ MtrPlan::SynthesisGraphs MtrPlan::make_synthesis_graphs() const {
         graphs.src.ejection_node(topo_->endpoints()[e]))] =
         static_cast<int>(e);
   }
-  graphs.vertical.assign(n, 0);
+  graphs.port.assign(n, static_cast<std::uint8_t>(port_index(Port::local)));
   graphs.turns.resize(static_cast<std::size_t>(topo_->num_channels()));
   for (ChannelId in = 0; in < topo_->num_channels(); ++in) {
     const Channel& cin = topo_->channel(in);
-    graphs.vertical[static_cast<std::size_t>(in)] = is_vertical(cin) ? 1 : 0;
+    graphs.port[static_cast<std::size_t>(in)] =
+        static_cast<std::uint8_t>(port_index(cin.src_port));
     for (int p = 0; p < kNumPorts; ++p) {
       const ChannelId out = topo_->out_channel(cin.dst, static_cast<Port>(p));
       if (out != kInvalidChannel &&
@@ -333,155 +640,15 @@ MtrPlan::SynthesisGraphs MtrPlan::make_synthesis_graphs() const {
   return graphs;
 }
 
-bool MtrPlan::restricted(const SynthesisGraphs& graphs, int in,
-                         int out) const {
-  return (graphs.vertical[static_cast<std::size_t>(in)] != 0 ||
-          graphs.vertical[static_cast<std::size_t>(out)] != 0) &&
-         forbidden_.find(turn_key(in, out)) != forbidden_.end();
-}
-
-MtrPlan::LegTables MtrPlan::compute_leg_tables(
-    const SynthesisGraphs& graphs) const {
-  const std::size_t num_ep = topo_->endpoints().size();
-  const std::size_t num_vls = static_cast<std::size_t>(topo_->num_vls());
-  LegTables legs;
-  legs.src_downs.assign(num_ep, 0);
-  legs.src_ups.assign(num_ep, 0);
-  legs.mid_ups.assign(num_vls, 0);
-  legs.mid_ej.assign(num_vls, std::vector<char>(num_ep, 0));
-  legs.dst_ej.assign(num_vls, std::vector<char>(num_ep, 0));
-
-  // Every table entry is a set (bitmask or flag) of what a walk reaches,
-  // so the walk order is irrelevant: skipping forbidden turns here yields
-  // exactly the tables of graphs built under the current restriction set.
-  std::vector<char> seen;
-  std::vector<int> queue;
-  const auto bfs = [&](const LineGraph& g, int start, auto&& on_node) {
-    seen.assign(static_cast<std::size_t>(g.size()), 0);
-    queue.clear();
-    queue.push_back(start);
-    seen[static_cast<std::size_t>(start)] = 1;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const int cur = queue[head];
-      on_node(cur);
-      for (int next : g.successors_flat(cur)) {
-        if (!seen[static_cast<std::size_t>(next)] &&
-            !restricted(graphs, cur, next)) {
-          seen[static_cast<std::size_t>(next)] = 1;
-          queue.push_back(next);
-        }
-      }
-    }
-  };
-
-  const auto& down_vl = graphs.down_vl;
-  const auto& up_vl = graphs.up_vl;
-  const auto& ej_endpoint = graphs.ej_endpoint;
-  const LineGraph& g_src = graphs.src;
-  const LineGraph& g_mid = graphs.mid;
-  const LineGraph& g_dst = graphs.dst;
-  for (std::size_t e = 0; e < num_ep; ++e) {
-    bfs(g_src, g_src.injection_node(topo_->endpoints()[e]), [&](int cur) {
-      if (!g_src.is_channel(cur)) {
-        return;
-      }
-      if (down_vl[static_cast<std::size_t>(cur)] != kInvalidVl) {
-        legs.src_downs[e] |= std::uint64_t{1}
-                             << down_vl[static_cast<std::size_t>(cur)];
-      }
-      if (up_vl[static_cast<std::size_t>(cur)] != kInvalidVl) {
-        legs.src_ups[e] |= std::uint64_t{1}
-                           << up_vl[static_cast<std::size_t>(cur)];
-      }
-    });
-  }
-  for (const VerticalLink& vl : topo_->vls()) {
-    bfs(g_mid, vl.down_channel, [&](int cur) {
-      if (g_mid.is_channel(cur)) {
-        if (up_vl[static_cast<std::size_t>(cur)] != kInvalidVl) {
-          legs.mid_ups[static_cast<std::size_t>(vl.id)] |=
-              std::uint64_t{1} << up_vl[static_cast<std::size_t>(cur)];
-        }
-      } else if (ej_endpoint[static_cast<std::size_t>(cur)] >= 0) {
-        legs.mid_ej[static_cast<std::size_t>(vl.id)][static_cast<std::size_t>(
-            ej_endpoint[static_cast<std::size_t>(cur)])] = 1;
-      }
-    });
-    bfs(g_dst, vl.up_channel, [&](int cur) {
-      if (!g_dst.is_channel(cur) &&
-          ej_endpoint[static_cast<std::size_t>(cur)] >= 0) {
-        legs.dst_ej[static_cast<std::size_t>(vl.id)][static_cast<std::size_t>(
-            ej_endpoint[static_cast<std::size_t>(cur)])] = 1;
-      }
-    });
-  }
-  return legs;
-}
-
-bool MtrPlan::leg_connectivity_ok(const LegTables& legs) const {
-  // Every different-mesh endpoint pair must keep at least one
-  // single-crossing route; same-mesh pairs ride plain (unrestricted) XY.
-  // Bitmasks by VlId turn each pair's search over (down, up) VL
-  // combinations into one AND: the VLs of each chiplet, and per
-  // destination the down VLs whose interposer leg ejects there and the up
-  // VLs whose destination leg does.
-  const std::size_t num_ep = topo_->endpoints().size();
-  std::vector<std::uint64_t> chiplet_vls(
-      static_cast<std::size_t>(topo_->num_chiplets()), 0);
-  std::vector<std::uint64_t> downs_to(num_ep, 0);
-  std::vector<std::uint64_t> ups_to(num_ep, 0);
-  for (const VerticalLink& vl : topo_->vls()) {
-    const std::uint64_t bit = std::uint64_t{1} << vl.id;
-    chiplet_vls[static_cast<std::size_t>(vl.chiplet)] |= bit;
-    const auto id = static_cast<std::size_t>(vl.id);
-    for (std::size_t d = 0; d < num_ep; ++d) {
-      if (legs.mid_ej[id][d] != 0) {
-        downs_to[d] |= bit;
-      }
-      if (legs.dst_ej[id][d] != 0) {
-        ups_to[d] |= bit;
-      }
-    }
-  }
-  for (std::size_t s = 0; s < num_ep; ++s) {
-    const int src_chiplet = topo_->node(topo_->endpoints()[s]).chiplet;
-    // A chiplet source descends through `downs`; those descents reach
-    // the interposer ascents `ups`. An interposer source ascends directly.
-    std::uint64_t downs = 0;
-    std::uint64_t ups = legs.src_ups[s];
-    if (src_chiplet != kInterposer) {
-      downs = legs.src_downs[s] &
-              chiplet_vls[static_cast<std::size_t>(src_chiplet)];
-      ups = 0;
-      for (std::uint64_t m = downs; m != 0; m &= m - 1) {
-        ups |= legs.mid_ups[static_cast<std::size_t>(std::countr_zero(m))];
-      }
-    }
-    for (std::size_t d = 0; d < num_ep; ++d) {
-      const int dst_chiplet = topo_->node(topo_->endpoints()[d]).chiplet;
-      if (s == d || src_chiplet == dst_chiplet) {
-        continue;
-      }
-      const bool connected =
-          dst_chiplet == kInterposer
-              ? (downs & downs_to[d]) != 0
-              : (ups & chiplet_vls[static_cast<std::size_t>(dst_chiplet)] &
-                 ups_to[d]) != 0;
-      if (!connected) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-void MtrPlan::build_pair_combos(const SynthesisGraphs& graphs) {
+void MtrPlan::build_pair_combos(const LegTables& legs) {
   // Reachability semantics for Fig. 7: a pair survives a fault pattern
   // when MTR, keeping its design-time turn restrictions but aware of the
   // faults, can still deliver through some single-crossing route whose
   // two vertical channels are alive. The synthesis guaranteed at least
-  // one combination per pair fault-free (leg_connectivity_ok).
-  const LegTables legs = compute_leg_tables(graphs);
+  // one combination per pair fault-free (LegSearch::try_forbid).
+  const auto has = [](std::uint64_t mask, VlId vl) {
+    return (mask & (std::uint64_t{1} << vl)) != 0;
+  };
   const std::size_t num_ep = topo_->endpoints().size();
   combos_.assign(num_ep * num_ep, 0);
   for (std::size_t s = 0; s < num_ep; ++s) {
@@ -494,13 +661,12 @@ void MtrPlan::build_pair_combos(const SynthesisGraphs& graphs) {
       std::uint64_t combo = 0;
       if (src_chiplet != kInterposer && dst_chiplet != kInterposer) {
         for (VlId dn : topo_->chiplet_vls(src_chiplet)) {
-          if ((legs.src_downs[s] & (std::uint64_t{1} << dn)) == 0) {
+          if (!has(legs.src_downs[s], dn)) {
             continue;
           }
           for (VlId up : topo_->chiplet_vls(dst_chiplet)) {
-            if ((legs.mid_ups[static_cast<std::size_t>(dn)] &
-                 (std::uint64_t{1} << up)) != 0 &&
-                legs.dst_ej[static_cast<std::size_t>(up)][d] != 0) {
+            if (has(legs.mid_ups[static_cast<std::size_t>(dn)], up) &&
+                has(legs.ups_to[d], up)) {
               combo |= std::uint64_t{1}
                        << (8 * topo_->vl(dn).index_in_chiplet +
                            topo_->vl(up).index_in_chiplet);
@@ -509,15 +675,13 @@ void MtrPlan::build_pair_combos(const SynthesisGraphs& graphs) {
         }
       } else if (dst_chiplet == kInterposer) {
         for (VlId dn : topo_->chiplet_vls(src_chiplet)) {
-          if ((legs.src_downs[s] & (std::uint64_t{1} << dn)) != 0 &&
-              legs.mid_ej[static_cast<std::size_t>(dn)][d] != 0) {
+          if (has(legs.src_downs[s], dn) && has(legs.downs_to[d], dn)) {
             combo |= std::uint64_t{1} << topo_->vl(dn).index_in_chiplet;
           }
         }
       } else {
         for (VlId up : topo_->chiplet_vls(dst_chiplet)) {
-          if ((legs.src_ups[s] & (std::uint64_t{1} << up)) != 0 &&
-              legs.dst_ej[static_cast<std::size_t>(up)][d] != 0) {
+          if (has(legs.src_ups[s], up) && has(legs.ups_to[d], up)) {
             combo |= std::uint64_t{1} << topo_->vl(up).index_in_chiplet;
           }
         }

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_set>
 
 #include "common/rng.hpp"
 #include "routing/line_graph.hpp"
@@ -35,11 +34,12 @@ class MtrPlan {
 
   const Topology& topo() const { return *topo_; }
 
-  /// True when the channel-to-channel turn survived synthesis.
+  /// True when the channel-to-channel turn survived synthesis. `out` must
+  /// leave the router `in` enters.
   bool turn_allowed(ChannelId in, ChannelId out) const;
 
   /// Number of turns removed by the synthesis.
-  int restricted_turn_count() const { return static_cast<int>(forbidden_.size()); }
+  int restricted_turn_count() const { return restricted_turns_; }
 
   /// The final allowed-turn line graph (includes injection/ejection).
   const LineGraph& line_graph() const { return *line_graph_; }
@@ -71,25 +71,26 @@ class MtrPlan {
   /// Leg-restricted reachability under the current restriction set: which
   /// VLs each source can descend through (source mesh only), which ascents
   /// each descent can reach (interposer only), and which destinations each
-  /// ascent serves (destination mesh only). Inter-chiplet MTR routes cross
-  /// exactly once down and once up, so these tables decide both
-  /// connectivity during synthesis and the fault-reachability combos.
+  /// descent and ascent serve (interposer / destination mesh only).
+  /// Inter-chiplet MTR routes cross exactly once down and once up, so
+  /// these tables decide both connectivity during synthesis and the
+  /// fault-reachability combos. Every entry is a bitmask by VlId.
   struct LegTables {
-    /// Per endpoint index: reachable down VLs / up VLs (bitmask by VlId).
+    /// Per endpoint index: reachable down VLs / up VLs.
     std::vector<std::uint64_t> src_downs;
     std::vector<std::uint64_t> src_ups;
-    /// Per descending VL: reachable ascending VLs (bitmask by VlId).
+    /// Per descending VL: reachable ascending VLs.
     std::vector<std::uint64_t> mid_ups;
-    /// Per descending VL: interposer endpoints whose ejection is reachable.
-    std::vector<std::vector<char>> mid_ej;
-    /// Per ascending VL: endpoints whose ejection is reachable.
-    std::vector<std::vector<char>> dst_ej;
+    /// Per endpoint index: the descending VLs whose interposer leg reaches
+    /// its ejection, and the ascending VLs whose destination leg does.
+    std::vector<std::uint64_t> downs_to;
+    std::vector<std::uint64_t> ups_to;
   };
 
   /// The graphs synthesis searches, built once per plan from the
   /// pre-synthesis turn rule: the channel turn adjacency and the three
-  /// leg graphs compute_leg_tables() walks. Users skip the turns synthesis
-  /// has forbidden since, so one set of graphs serves every candidate
+  /// leg graphs the leg walks cover. Walks skip the turns synthesis has
+  /// forbidden since, so one set of graphs serves every candidate
   /// restriction set.
   struct SynthesisGraphs {
     /// Per channel: successor channels in port order.
@@ -102,30 +103,35 @@ class MtrPlan {
     std::vector<VlId> up_vl;
     /// Per line node: the endpoint index of an ejection node, else -1.
     std::vector<int> ej_endpoint;
-    /// Per line node: a vertical channel (synthesis only forbids turns
-    /// that touch one).
-    std::vector<char> vertical;
+    /// Per line node: the port its channel leaves through (local for the
+    /// injection/ejection pseudo-channels, whose turns are never forbidden).
+    std::vector<std::uint8_t> port;
   };
 
-  SynthesisGraphs make_synthesis_graphs() const;
-  /// True when synthesis has forbidden the turn between line nodes
-  /// `in` -> `out`.
-  bool restricted(const SynthesisGraphs& graphs, int in, int out) const;
-  void synthesize_restrictions(const SynthesisGraphs& graphs);
-  bool try_synthesize(const SynthesisGraphs& graphs, Rng* shuffle);
-  void build_route_tables();
-  void build_pair_combos(const SynthesisGraphs& graphs);
-  LegTables compute_leg_tables(const SynthesisGraphs& graphs) const;
-  bool leg_connectivity_ok(const LegTables& legs) const;
+  /// Synthesis's incremental leg walks (defined in mtr_routing.cpp).
+  class LegSearch;
 
-  /// The allowed channel turns under the current restriction set, written
-  /// into `adj` (reusing its capacity).
-  void channel_turn_adjacency(const SynthesisGraphs& graphs,
-                              std::vector<std::vector<int>>& adj) const;
+  SynthesisGraphs make_synthesis_graphs() const;
+  /// Index of the turn `in` -> the channel leaving through `out_port` in
+  /// forbidden_.
+  static std::size_t turn_slot(int in, int out_port) {
+    return static_cast<std::size_t>(in) * kNumPorts +
+           static_cast<std::size_t>(out_port);
+  }
+  /// Runs synthesis and returns the leg tables of the final restriction set.
+  LegTables synthesize_restrictions(const SynthesisGraphs& graphs);
+  bool try_synthesize(const SynthesisGraphs& graphs, const LegSearch& initial,
+                      Rng* shuffle, LegSearch& search);
+  void build_route_tables();
+  void build_pair_combos(const LegTables& legs);
   bool connectivity_preserved() const;
 
   const Topology* topo_;
-  std::unordered_set<std::uint64_t> forbidden_;
+  /// Synthesized restrictions: forbidden_[turn_slot(in, out port)] != 0
+  /// when the turn was removed. One row per line node; the rows of the
+  /// injection/ejection pseudo-channels stay clear.
+  std::vector<char> forbidden_;
+  int restricted_turns_ = 0;
   std::unique_ptr<LineGraph> line_graph_;
   std::vector<int> endpoint_index_;
   /// dist_[endpoint_index][line_node]

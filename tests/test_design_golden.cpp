@@ -1,6 +1,7 @@
 // Golden pins for the design-time artifacts: every VL-selection table
 // entry of SystemVlTables and the synthesized MTR plan (restriction count,
-// forbidden-turn set, distance rows) of the reference systems. The
+// forbidden-turn set, distance rows, pair combos) of the reference systems
+// and two larger grids. The
 // simulation digests cover these artifacts only indirectly; these pins
 // catch a single drifted table entry or turn restriction directly.
 #include <gtest/gtest.h>
@@ -84,6 +85,19 @@ std::uint64_t distance_rows_digest(const MtrPlan& plan) {
   return d.value();
 }
 
+/// Hash of every endpoint pair's usable vertical combinations (the masks
+/// Fig. 7's MTR reachability reads), in (src, dst) endpoint order.
+std::uint64_t pair_combos_digest(const MtrPlan& plan) {
+  const auto& endpoints = plan.topo().endpoints();
+  Digest d;
+  for (NodeId s : endpoints) {
+    for (NodeId t : endpoints) {
+      d.mix(plan.pair_combos(s, t));
+    }
+  }
+  return d.value();
+}
+
 TEST(DesignGolden, VlTablesOfReferenceFour) {
   const Topology topo(make_reference_spec(4));
   EXPECT_EQ(vl_tables_digest(topo), 7662228752782440579ULL);
@@ -105,6 +119,7 @@ TEST(DesignGolden, MtrPlanOfReferenceFour) {
   EXPECT_EQ(plan.restricted_turn_count(), 30);
   EXPECT_EQ(forbidden_turns_digest(plan), 12540810333351221351ULL);
   EXPECT_EQ(distance_rows_digest(plan), 17930586462724512168ULL);
+  EXPECT_EQ(pair_combos_digest(plan), 5744319599279381635ULL);
 }
 
 TEST(DesignGolden, MtrPlanOfReferenceSix) {
@@ -113,6 +128,27 @@ TEST(DesignGolden, MtrPlanOfReferenceSix) {
   EXPECT_EQ(plan.restricted_turn_count(), 50);
   EXPECT_EQ(forbidden_turns_digest(plan), 14262975670664062345ULL);
   EXPECT_EQ(distance_rows_digest(plan), 7513564264299387846ULL);
+  EXPECT_EQ(pair_combos_digest(plan), 6144456531031518595ULL);
+}
+
+// Two grids beyond the paper's systems: nine 3x3 chiplets (36 VLs), and
+// sixteen 2x2 chiplets whose 64 VLs fill every bit of the leg masks.
+TEST(DesignGolden, MtrPlanOfNineChipletGrid) {
+  const Topology topo(make_grid_spec(3, 3, 3, 3));
+  const MtrPlan plan(topo);
+  EXPECT_EQ(plan.restricted_turn_count(), 76);
+  EXPECT_EQ(forbidden_turns_digest(plan), 13713303651464083301ULL);
+  EXPECT_EQ(distance_rows_digest(plan), 6659280562578379921ULL);
+  EXPECT_EQ(pair_combos_digest(plan), 13006524548722798432ULL);
+}
+
+TEST(DesignGolden, MtrPlanOfSixteenChipletGrid) {
+  const Topology topo(make_grid_spec(4, 4, 2, 2));
+  const MtrPlan plan(topo);
+  EXPECT_EQ(plan.restricted_turn_count(), 174);
+  EXPECT_EQ(forbidden_turns_digest(plan), 10054882814577927044ULL);
+  EXPECT_EQ(distance_rows_digest(plan), 994808371851476840ULL);
+  EXPECT_EQ(pair_combos_digest(plan), 451303834488916419ULL);
 }
 
 }  // namespace
