@@ -1,5 +1,7 @@
 #include "fault/fault_set.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 
 namespace deft {
@@ -7,17 +9,31 @@ namespace deft {
 VlFaultSet VlFaultSet::of(std::initializer_list<VlChannelId> channels) {
   VlFaultSet f;
   for (VlChannelId c : channels) {
-    require(c >= 0 && c < 64, "VlFaultSet: channel id out of range");
+    require(c >= 0 && c < kMaxVlChannels,
+            "VlFaultSet: channel id out of range");
     f.set_faulty(c);
   }
   return f;
 }
 
+bool VlFaultSet::empty() const {
+  return std::all_of(words_.begin(), words_.end(),
+                     [](std::uint64_t w) { return w == 0; });
+}
+
+int VlFaultSet::count() const {
+  int n = 0;
+  for (std::uint64_t w : words_) {
+    n += std::popcount(w);
+  }
+  return n;
+}
+
 std::vector<VlChannelId> VlFaultSet::channels() const {
   std::vector<VlChannelId> out;
-  for (VlChannelId c = 0; c < 64; ++c) {
-    if (is_faulty(c)) {
-      out.push_back(c);
+  for (std::size_t w = 0; w < kWords; ++w) {
+    for (std::uint64_t m = words_[w]; m != 0; m &= m - 1) {
+      out.push_back(static_cast<VlChannelId>(w * 64) + std::countr_zero(m));
     }
   }
   return out;

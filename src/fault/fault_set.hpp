@@ -6,6 +6,7 @@
 // bidirectional VLs = 32 faultable channels.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -15,22 +16,31 @@
 
 namespace deft {
 
-/// A set of faulty unidirectional VL channels, stored as a bitmask.
-/// Supports systems with up to 64 unidirectional VL channels (the paper's
-/// largest system has 48).
+/// A set of faulty unidirectional VL channels, stored as a fixed bitset
+/// of kMaxVlChannels bits: every channel of any system Topology accepts
+/// has its own bit.
 class VlFaultSet {
  public:
+  static constexpr std::size_t kWords =
+      static_cast<std::size_t>(kMaxVlChannels) / 64;
+
   VlFaultSet() = default;
 
   /// Builds a fault set from explicit channel ids.
   static VlFaultSet of(std::initializer_list<VlChannelId> channels);
 
-  void set_faulty(VlChannelId c) { bits_ |= bit(c); }
-  void clear(VlChannelId c) { bits_ &= ~bit(c); }
-  bool is_faulty(VlChannelId c) const { return (bits_ & bit(c)) != 0; }
-  bool empty() const { return bits_ == 0; }
-  int count() const { return __builtin_popcountll(bits_); }
-  std::uint64_t bits() const { return bits_; }
+  void set_faulty(VlChannelId c) { words_[word_of(c)] |= bit(c); }
+  void clear(VlChannelId c) { words_[word_of(c)] &= ~bit(c); }
+  bool is_faulty(VlChannelId c) const {
+    return (words_[word_of(c)] & bit(c)) != 0;
+  }
+  bool empty() const;
+  int count() const;
+
+  /// Bits of channels 64 * w .. 64 * w + 63 (bit i = channel 64 * w + i):
+  /// the word-level view the snapshot codec reads and writes.
+  std::uint64_t word(std::size_t w) const { return words_[w]; }
+  void set_word(std::size_t w, std::uint64_t bits) { words_[w] = bits; }
 
   /// Faulty-channel ids in increasing order.
   std::vector<VlChannelId> channels() const;
@@ -54,11 +64,14 @@ class VlFaultSet {
   friend bool operator==(const VlFaultSet&, const VlFaultSet&) = default;
 
  private:
+  static std::size_t word_of(VlChannelId c) {
+    return static_cast<std::size_t>(c) / 64;
+  }
   static std::uint64_t bit(VlChannelId c) {
-    return std::uint64_t{1} << static_cast<unsigned>(c);
+    return std::uint64_t{1} << (static_cast<unsigned>(c) % 64);
   }
 
-  std::uint64_t bits_ = 0;
+  std::array<std::uint64_t, kWords> words_{};
 };
 
 }  // namespace deft

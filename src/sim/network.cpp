@@ -131,6 +131,15 @@ void Network::add_rc_out_credits(NodeId node, int credits) {
       {node, credits});
 }
 
+void Network::add_initial_rc_out_credits(NodeId node, int credits) {
+  // The RC output port's single shared credit pool lives on VC 0, as in
+  // commit_shard().
+  routers_[static_cast<std::size_t>(node)]
+      .out[static_cast<std::size_t>(
+          FlitStore::lane_of(port_index(Port::rc), 0))]
+      .credits += static_cast<std::int16_t>(credits);
+}
+
 RouterView Network::make_view(const RouterState& r) const {
   // One SIMD pass over the lane-major OutputVc plane. The kernel sums all
   // kMaxVcs lanes of each port, not just the configured num_vcs_; that is

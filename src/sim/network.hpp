@@ -190,8 +190,12 @@ class Network {
   void inject_rc(NodeId node, int vc, const Flit& flit);
   /// Make `credits` additional flit slots available on the router's RC
   /// output (called by the RC unit as its packet buffer frees; serial
-  /// contexts only).
+  /// contexts only). Staged: they land when the cycle commits.
   void add_rc_out_credits(NodeId node, int credits);
+  /// The RC output's initial credit pool, added directly rather than
+  /// staged: set up before the first cycle, so a run is at a committed
+  /// cycle boundary as soon as it starts.
+  void add_initial_rc_out_credits(NodeId node, int credits);
 
   // --- Introspection --------------------------------------------------------
   /// Flits currently held in router buffers (the deadlock watchdog's

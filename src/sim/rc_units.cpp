@@ -98,7 +98,7 @@ void RcUnitManager::absorb(NodeId unit_node, const Flit& flit, Cycle now,
 
 void RcUnitManager::publish_initial_credits(Network& net) const {
   for (const Unit& unit : units_) {
-    net.add_rc_out_credits(unit.node, packet_size_);
+    net.add_initial_rc_out_credits(unit.node, packet_size_);
   }
 }
 

@@ -153,6 +153,31 @@ void io_flit(Ar& ar, F& f, std::size_t packets) {
   ar.io(f.seq, f.kind);
 }
 
+/// Words of a fault set that can hold bits on `topo`: one per 64 VL
+/// channels.
+std::size_t fault_words(const Topology& topo) {
+  return (static_cast<std::size_t>(topo.num_vl_channels()) + 63) / 64;
+}
+
+/// A fault set: its word count (fixed by the topology), then each word.
+/// The loader rejects bits past the topology's last VL channel.
+template <class Ar, class F>
+void io_fault_set(Ar& ar, F& faults, const Topology& topo) {
+  const std::size_t words = fault_words(topo);
+  ar.size(words, "fault set word count");
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t bits = faults.word(w);
+    ar.io(bits);
+    if constexpr (Ar::kLoading) {
+      const auto past_last = static_cast<std::size_t>(topo.num_vl_channels()) -
+                             w * 64;  // channels from this word's first on
+      expect(past_last >= 64 || (bits >> past_last) == 0,
+             "fault set names a missing VL");
+      faults.set_word(w, bits);
+    }
+  }
+}
+
 bool on_mesh(const Topology& topo, NodeId n, int chiplet) {
   return n >= 0 && n < topo.num_nodes() && topo.node(n).chiplet == chiplet;
 }
@@ -289,16 +314,13 @@ class SnapshotAccess {
     if (net.num_shards_ != 1 || net.lanes_.size() != 1) {
       throw SnapshotError("save_snapshot: stepped runs are serial");
     }
-    // A pause is a cycle boundary, so every staged outbox is empty on save
-    // (anything else means the caller paused somewhere illegal). Loading
-    // drops the RC output credits prepare() staged: the saved credit
-    // planes already include their commit.
+    // A pause is a cycle boundary, start() included, so every staged
+    // outbox is empty on save (anything else means the caller paused
+    // somewhere illegal) and in the freshly started run a load fills.
     const auto outboxes = [](auto& boxes) {
       for (auto& box : boxes) {
-        if constexpr (Ar::kLoading) {
-          box.clear();
-        } else if (!box.empty()) {
-          throw SnapshotError("save_snapshot: staged network moves pending");
+        if (!box.empty()) {
+          throw SnapshotError("snapshot: staged network moves pending");
         }
       }
     };
@@ -450,32 +472,28 @@ class SnapshotAccess {
     // metrics carry across a pause.
     ar.index(s.cursor_, 0, static_cast<std::int64_t>(s.order_.size()) + 1,
              "fault event cursor");
-    std::uint64_t bits = s.faults_.bits();
-    ar.io(bits, s.lost_, s.lost_measured_, s.first_fail_);
+    const Topology& topo = *sim.topo_;
+    VlFaultSet faults = s.faults_;
+    io_fault_set(ar, faults, topo);
+    ar.io(s.lost_, s.lost_measured_, s.first_fail_);
     io_list(ar, s.intervals_, 16,
             [&ar](auto& range) { ar.io(range.first, range.second); });
     io_list(ar, s.affected_);
     if constexpr (Ar::kLoading) {
-      const Topology& topo = *sim.topo_;
-      const int vls = topo.num_vl_channels();
-      expect((vls >= 64 || (bits >> vls) == 0) && s.affected_.size() <= routes,
-             "fault set names a missing VL or route");
-      // Each VL channel is one channel: rebuild the set from the bits and
-      // check the network's marks against it.
-      s.faults_ = VlFaultSet{};
+      expect(s.affected_.size() <= routes, "fault set names a missing route");
+      // Each VL channel is one channel: check the network's marks against
+      // the loaded set.
       for (ChannelId c = 0; c < topo.num_channels(); ++c) {
         const VlChannelId vl = topo.channel(c).vl_channel;
-        const bool faulty = vl >= 0 && vl < 64 && ((bits >> vl) & 1) != 0;
+        const bool faulty = vl >= 0 && faults.is_faulty(vl);
         expect(net.channel_faulty_[static_cast<std::size_t>(c)] == faulty,
                "channel fault marks disagree with the fault set");
-        if (faulty) {
-          s.faults_.set_faulty(vl);
-        }
       }
+      s.faults_ = faults;
       // Events applied before the pause changed the fault set: rebuild the
       // algorithm's tables for it (set_faults() leaves the RNG alone; the
       // stream state loaded earlier completes the picture).
-      if (bits != sim.faults_.bits()) {
+      if (faults != sim.faults_) {
         sim.algorithm_->set_faults(s.faults_);
       }
     }
@@ -534,8 +552,11 @@ std::string SnapshotAccess::fingerprint(const Simulator& sim) {
       << static_cast<int>(k.core) << "/rng" << static_cast<int>(k.rng_mode)
       << " alg=" << sim.algorithm_->name() << "/"
       << sim.algorithm_->num_vcs() << " traffic=" << sim.traffic_->name()
-      << " faults=0x" << std::hex << sim.faults_.bits() << std::dec
-      << " policy=" << static_cast<int>(sim.policy_) << " timeline=[";
+      << " faults=" << fault_words(t) << "w";
+  for (std::size_t w = 0; w < fault_words(t); ++w) {
+    out << ":" << std::hex << sim.faults_.word(w) << std::dec;
+  }
+  out << " policy=" << static_cast<int>(sim.policy_) << " timeline=[";
   if (sim.timeline_ != nullptr) {
     for (const FaultEvent& ev : sim.timeline_->events()) {
       out << "(" << ev.cycle << "," << ev.channel << ","

@@ -69,7 +69,9 @@ class SnapshotError : public std::runtime_error {
 
 /// Snapshot format version written by save_snapshot().
 /// v2: per-NI counter-based route-stream draw counts (rng_mode).
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// v3: fault sets as a word count plus 64-bit words (systems with more
+/// than 64 VL channels).
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Serializes the state of `stepper`'s paused run. The stepper must be
 /// started and not finished; the cycle boundary it is paused on is a

@@ -32,6 +32,7 @@ void Topology::validate_spec() const {
   std::vector<char> covered(static_cast<std::size_t>(spec_.interposer_width *
                                                      spec_.interposer_height),
                             0);
+  std::size_t vl_channels = 0;
   for (std::size_t c = 0; c < spec_.chiplets.size(); ++c) {
     const ChipletSpec& ch = spec_.chiplets[c];
     require(ch.width > 0 && ch.height > 0,
@@ -65,7 +66,11 @@ void Topology::validate_spec() const {
                             same) == 1,
               "Topology: duplicate VL position within a chiplet");
     }
+    vl_channels += 2 * ch.vl_positions.size();
   }
+  require(vl_channels <= static_cast<std::size_t>(kMaxVlChannels),
+          "Topology: at most 4096 VL channels (kMaxVlChannels, the capacity "
+          "of a fault set)");
   for (const Coord& d : spec_.dram_positions) {
     require(d.x >= 0 && d.x < spec_.interposer_width && d.y >= 0 &&
                 d.y < spec_.interposer_height,

@@ -107,6 +107,11 @@ struct VerticalLink {
 /// VL in 8 bits; Topology rejects specs with more.
 inline constexpr int kMaxVlsPerChiplet = 8;
 
+/// Most unidirectional VL channels one system may have: 256 chiplets at
+/// kMaxVlsPerChiplet VLs, two channels per VL. VlFaultSet is a fixed
+/// bitset of this many channels; Topology rejects specs with more.
+inline constexpr int kMaxVlChannels = 256 * kMaxVlsPerChiplet * 2;
+
 struct ChipletSpec {
   int width = 4;
   int height = 4;

@@ -2,6 +2,8 @@
 // scenario enumeration and sampling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/combinatorics.hpp"
 #include "fault/scenario.hpp"
 #include "topology/builder.hpp"
@@ -25,6 +27,44 @@ TEST_F(FaultTest, SetAndClear) {
   f.clear(3);
   EXPECT_EQ(f.count(), 1);
   EXPECT_EQ(f.channels(), std::vector<VlChannelId>{17});
+}
+
+TEST(FaultSet, ChannelsPastSixtyFourHaveTheirOwnBits) {
+  // The 64-chiplet grid has 512 VL channels: channel 64 + k (and 256 + k)
+  // must never alias channel k, in the set itself or in the chiplet masks
+  // DeFT keys its VL tables by.
+  const Topology topo(make_grid_spec(8, 8, 4, 4));
+  ASSERT_EQ(topo.num_vl_channels(), 512);
+  for (const VlChannelId k : {0, 5, 63}) {
+    for (const VlChannelId high : {64 + k, 256 + k}) {
+      VlFaultSet low_set;
+      low_set.set_faulty(k);
+      VlFaultSet high_set;
+      high_set.set_faulty(high);
+      EXPECT_NE(low_set, high_set);
+      EXPECT_TRUE(high_set.is_faulty(high));
+      EXPECT_FALSE(high_set.is_faulty(k));
+      EXPECT_FALSE(low_set.is_faulty(high));
+      EXPECT_EQ(high_set.count(), 1);
+      EXPECT_EQ(high_set.channels(), std::vector<VlChannelId>{high});
+      EXPECT_EQ(VlFaultSet::of({high}), high_set);
+
+      const VerticalLink& vl = topo.vl(high / 2);
+      const auto& own = topo.chiplet_vls(vl.chiplet);
+      const auto index = static_cast<std::uint32_t>(
+          std::find(own.begin(), own.end(), vl.id) - own.begin());
+      const std::uint32_t mask = high % 2 == 0
+                                     ? high_set.chiplet_down_mask(topo, vl.chiplet)
+                                     : high_set.chiplet_up_mask(topo, vl.chiplet);
+      EXPECT_EQ(mask, 1u << index);
+      const int low_chiplet = topo.vl(k / 2).chiplet;
+      EXPECT_EQ(high_set.chiplet_down_mask(topo, low_chiplet) |
+                    high_set.chiplet_up_mask(topo, low_chiplet),
+                0u);
+      high_set.clear(high);
+      EXPECT_TRUE(high_set.empty());
+    }
+  }
 }
 
 TEST_F(FaultTest, ChipletMasksSeparateDownAndUp) {
