@@ -126,8 +126,8 @@ class MtrPlan::LegSearch {
   /// for a chiplet source, directly for an interposer source.
   std::uint64_t reach_ups(std::size_t s) const;
   bool pair_connected(std::size_t s, std::size_t d) const;
-  void mark(std::vector<std::size_t>& list, std::vector<char>& flag,
-            std::size_t i) {
+  static void mark(std::vector<std::size_t>& list, std::vector<char>& flag,
+                   std::size_t i) {
     if (flag[i] == 0) {
       flag[i] = 1;
       list.push_back(i);
@@ -161,235 +161,6 @@ class MtrPlan::LegSearch {
   std::vector<char> src_flag_;
   std::vector<char> dst_flag_;
 };
-
-MtrPlan::LegSearch::LegSearch(const MtrPlan& plan,
-                              const SynthesisGraphs& graphs)
-    : plan_(&plan),
-      graphs_(&graphs),
-      num_ep_(plan.topo().endpoints().size()),
-      num_vls_(static_cast<std::size_t>(plan.topo().num_vls())),
-      words_((static_cast<std::size_t>(graphs.src.size()) + 63) / 64) {
-  const Topology& topo = plan.topo();
-  std::vector<std::uint64_t> chiplet_vls(
-      static_cast<std::size_t>(topo.num_chiplets()), 0);
-  for (const VerticalLink& vl : topo.vls()) {
-    chiplet_vls[static_cast<std::size_t>(vl.chiplet)] |= std::uint64_t{1}
-                                                         << vl.id;
-  }
-  for (NodeId e : topo.endpoints()) {
-    const int chiplet = topo.node(e).chiplet;
-    chiplet_.push_back(chiplet);
-    mesh_vls_.push_back(chiplet == kInterposer
-                            ? 0
-                            : chiplet_vls[static_cast<std::size_t>(chiplet)]);
-    start_.push_back(graphs.src.injection_node(e));
-  }
-  for (const VerticalLink& vl : topo.vls()) {
-    start_.push_back(vl.down_channel);
-  }
-  for (const VerticalLink& vl : topo.vls()) {
-    start_.push_back(vl.up_channel);
-  }
-  legs_.src_downs.assign(num_ep_, 0);
-  legs_.src_ups.assign(num_ep_, 0);
-  legs_.mid_ups.assign(num_vls_, 0);
-  legs_.downs_to.assign(num_ep_, 0);
-  legs_.ups_to.assign(num_ep_, 0);
-  visited_.assign(start_.size() * words_, 0);
-  for (std::size_t root = 0; root < start_.size(); ++root) {
-    std::uint64_t* seen = visited_.data() + root * words_;
-    walk(root, seen);
-    for (std::size_t w = 0; w < words_; ++w) {
-      for (std::uint64_t m = seen[w]; m != 0; m &= m - 1) {
-        const auto [word, bit] =
-            owed(root, static_cast<int>(w * 64) + std::countr_zero(m));
-        if (word != nullptr) {
-          *word |= bit;
-        }
-      }
-    }
-  }
-  for (std::size_t s = 0; s < num_ep_; ++s) {
-    ups_.push_back(reach_ups(s));
-  }
-  for (std::size_t s = 0; s < num_ep_ && connected_; ++s) {
-    for (std::size_t d = 0; d < num_ep_ && connected_; ++d) {
-      connected_ = pair_connected(s, d);
-    }
-  }
-  src_flag_.assign(num_ep_, 0);
-  dst_flag_.assign(num_ep_, 0);
-}
-
-void MtrPlan::LegSearch::walk(std::size_t root, std::uint64_t* seen) {
-  const LineGraph& g = graph_of(root);
-  const std::uint8_t* port = graphs_->port.data();
-  std::fill(seen, seen + words_, 0);
-  const int start = start_[root];
-  seen[start / 64] |= std::uint64_t{1} << (start % 64);
-  queue_.clear();
-  queue_.push_back(start);
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const int cur = queue_[head];
-    const char* forbidden = plan_->forbidden_.data() + turn_slot(cur, 0);
-    for (int next : g.successors_flat(cur)) {
-      const std::uint64_t bit = std::uint64_t{1} << (next % 64);
-      if ((seen[next / 64] & bit) == 0 && forbidden[port[next]] == 0) {
-        seen[next / 64] |= bit;
-        queue_.push_back(next);
-      }
-    }
-  }
-}
-
-std::pair<std::uint64_t*, std::uint64_t> MtrPlan::LegSearch::owed(
-    std::size_t root, int l) {
-  const auto node = static_cast<std::size_t>(l);
-  const VlId down = graphs_->down_vl[node];
-  const VlId up = graphs_->up_vl[node];
-  const int ej = graphs_->ej_endpoint[node];
-  if (root < num_ep_) {
-    if (down != kInvalidVl) {
-      return {&legs_.src_downs[root], std::uint64_t{1} << down};
-    }
-    if (up != kInvalidVl) {
-      return {&legs_.src_ups[root], std::uint64_t{1} << up};
-    }
-    return {nullptr, 0};
-  }
-  if (root < num_ep_ + num_vls_) {
-    const std::size_t vl = root - num_ep_;
-    if (up != kInvalidVl) {
-      return {&legs_.mid_ups[vl], std::uint64_t{1} << up};
-    }
-    if (ej >= 0) {
-      return {&legs_.downs_to[static_cast<std::size_t>(ej)],
-              std::uint64_t{1} << vl};
-    }
-    return {nullptr, 0};
-  }
-  if (ej >= 0) {
-    return {&legs_.ups_to[static_cast<std::size_t>(ej)],
-            std::uint64_t{1} << (root - num_ep_ - num_vls_)};
-  }
-  return {nullptr, 0};
-}
-
-std::uint64_t MtrPlan::LegSearch::reach_ups(std::size_t s) const {
-  if (chiplet_[s] == kInterposer) {
-    return legs_.src_ups[s];
-  }
-  std::uint64_t ups = 0;
-  for (std::uint64_t m = downs_of(s); m != 0; m &= m - 1) {
-    ups |= legs_.mid_ups[static_cast<std::size_t>(std::countr_zero(m))];
-  }
-  return ups;
-}
-
-bool MtrPlan::LegSearch::pair_connected(std::size_t s, std::size_t d) const {
-  // Same-mesh pairs (and s == d) ride plain, unrestricted XY.
-  if (chiplet_[s] == chiplet_[d]) {
-    return true;
-  }
-  if (chiplet_[d] == kInterposer) {
-    return (downs_of(s) & legs_.downs_to[d]) != 0;
-  }
-  return (ups_[s] & mesh_vls_[d] & legs_.ups_to[d]) != 0;
-}
-
-bool MtrPlan::LegSearch::try_forbid(int a, int b) {
-  if (!connected_) {
-    return false;
-  }
-  affected_.clear();
-  const auto a_word = static_cast<std::size_t>(a / 64);
-  const std::uint64_t a_bit = std::uint64_t{1} << (a % 64);
-  const std::size_t ranges[4] = {0, num_ep_, num_ep_ + num_vls_,
-                                 start_.size()};
-  for (int g = 0; g < 3; ++g) {
-    const auto succ = graph_of(ranges[g]).successors_flat(a);
-    if (std::find(succ.begin(), succ.end(), b) == succ.end()) {
-      continue;
-    }
-    for (std::size_t root = ranges[g]; root < ranges[g + 1]; ++root) {
-      if ((visited_[root * words_ + a_word] & a_bit) != 0) {
-        affected_.push_back(root);
-      }
-    }
-  }
-
-  // Re-walk the affected roots and clear what their lost nodes owed,
-  // logging every overwritten word so a rejection can restore it.
-  walked_.resize(affected_.size() * words_);
-  undo_.clear();
-  dirty_src_.clear();
-  dirty_dst_.clear();
-  std::uint64_t dirty_mid = 0;  // descents whose reachable ascents shrank
-  for (std::size_t i = 0; i < affected_.size(); ++i) {
-    const std::size_t root = affected_[i];
-    std::uint64_t* fresh = walked_.data() + i * words_;
-    walk(root, fresh);
-    const std::uint64_t* old = visited_.data() + root * words_;
-    for (std::size_t w = 0; w < words_; ++w) {
-      for (std::uint64_t lost = old[w] & ~fresh[w]; lost != 0;
-           lost &= lost - 1) {
-        const int l = static_cast<int>(w * 64) + std::countr_zero(lost);
-        const auto [word, bit] = owed(root, l);
-        if (word == nullptr) {
-          continue;
-        }
-        undo_.emplace_back(word, *word);
-        *word &= ~bit;
-        const int ej = graphs_->ej_endpoint[static_cast<std::size_t>(l)];
-        if (root < num_ep_) {
-          mark(dirty_src_, src_flag_, root);
-        } else if (ej >= 0) {
-          mark(dirty_dst_, dst_flag_, static_cast<std::size_t>(ej));
-        } else {
-          dirty_mid |= std::uint64_t{1} << (root - num_ep_);
-        }
-      }
-    }
-  }
-  if (dirty_mid != 0) {
-    for (std::size_t s = 0; s < num_ep_; ++s) {
-      if ((downs_of(s) & dirty_mid) != 0) {
-        mark(dirty_src_, src_flag_, s);
-      }
-    }
-  }
-  for (std::size_t s : dirty_src_) {
-    undo_.emplace_back(&ups_[s], ups_[s]);
-    ups_[s] = reach_ups(s);
-  }
-
-  // Only pairs with a dirty source or destination can have lost their
-  // route.
-  bool ok = true;
-  for (std::size_t s : dirty_src_) {
-    src_flag_[s] = 0;
-    for (std::size_t d = 0; d < num_ep_ && ok; ++d) {
-      ok = pair_connected(s, d);
-    }
-  }
-  for (std::size_t d : dirty_dst_) {
-    dst_flag_[d] = 0;
-    for (std::size_t s = 0; s < num_ep_ && ok; ++s) {
-      ok = pair_connected(s, d);
-    }
-  }
-  if (ok) {
-    for (std::size_t i = 0; i < affected_.size(); ++i) {
-      std::copy_n(walked_.data() + i * words_, words_,
-                  visited_.data() + affected_[i] * words_);
-    }
-  } else {
-    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-      *it->first = it->second;
-    }
-  }
-  return ok;
-}
 
 MtrPlan::MtrPlan(const Topology& topo) : topo_(&topo) {
   require(topo.num_vls() <= 64,
@@ -638,6 +409,235 @@ MtrPlan::SynthesisGraphs MtrPlan::make_synthesis_graphs() const {
     }
   }
   return graphs;
+}
+
+MtrPlan::LegSearch::LegSearch(const MtrPlan& plan,
+                              const SynthesisGraphs& graphs)
+    : plan_(&plan),
+      graphs_(&graphs),
+      num_ep_(plan.topo().endpoints().size()),
+      num_vls_(static_cast<std::size_t>(plan.topo().num_vls())),
+      words_((static_cast<std::size_t>(graphs.src.size()) + 63) / 64) {
+  const Topology& topo = plan.topo();
+  std::vector<std::uint64_t> chiplet_vls(
+      static_cast<std::size_t>(topo.num_chiplets()), 0);
+  for (const VerticalLink& vl : topo.vls()) {
+    chiplet_vls[static_cast<std::size_t>(vl.chiplet)] |= std::uint64_t{1}
+                                                         << vl.id;
+  }
+  for (NodeId e : topo.endpoints()) {
+    const int chiplet = topo.node(e).chiplet;
+    chiplet_.push_back(chiplet);
+    mesh_vls_.push_back(chiplet == kInterposer
+                            ? 0
+                            : chiplet_vls[static_cast<std::size_t>(chiplet)]);
+    start_.push_back(graphs.src.injection_node(e));
+  }
+  for (const VerticalLink& vl : topo.vls()) {
+    start_.push_back(vl.down_channel);
+  }
+  for (const VerticalLink& vl : topo.vls()) {
+    start_.push_back(vl.up_channel);
+  }
+  legs_.src_downs.assign(num_ep_, 0);
+  legs_.src_ups.assign(num_ep_, 0);
+  legs_.mid_ups.assign(num_vls_, 0);
+  legs_.downs_to.assign(num_ep_, 0);
+  legs_.ups_to.assign(num_ep_, 0);
+  visited_.assign(start_.size() * words_, 0);
+  for (std::size_t root = 0; root < start_.size(); ++root) {
+    std::uint64_t* seen = visited_.data() + root * words_;
+    walk(root, seen);
+    for (std::size_t w = 0; w < words_; ++w) {
+      for (std::uint64_t m = seen[w]; m != 0; m &= m - 1) {
+        const auto [word, bit] =
+            owed(root, static_cast<int>(w * 64) + std::countr_zero(m));
+        if (word != nullptr) {
+          *word |= bit;
+        }
+      }
+    }
+  }
+  for (std::size_t s = 0; s < num_ep_; ++s) {
+    ups_.push_back(reach_ups(s));
+  }
+  for (std::size_t s = 0; s < num_ep_ && connected_; ++s) {
+    for (std::size_t d = 0; d < num_ep_ && connected_; ++d) {
+      connected_ = pair_connected(s, d);
+    }
+  }
+  src_flag_.assign(num_ep_, 0);
+  dst_flag_.assign(num_ep_, 0);
+}
+
+void MtrPlan::LegSearch::walk(std::size_t root, std::uint64_t* seen) {
+  const LineGraph& g = graph_of(root);
+  const std::uint8_t* port = graphs_->port.data();
+  std::fill(seen, seen + words_, 0);
+  const int start = start_[root];
+  seen[start / 64] |= std::uint64_t{1} << (start % 64);
+  queue_.clear();
+  queue_.push_back(start);
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const int cur = queue_[head];
+    const char* forbidden = plan_->forbidden_.data() + turn_slot(cur, 0);
+    for (int next : g.successors_flat(cur)) {
+      const std::uint64_t bit = std::uint64_t{1} << (next % 64);
+      if ((seen[next / 64] & bit) == 0 && forbidden[port[next]] == 0) {
+        seen[next / 64] |= bit;
+        queue_.push_back(next);
+      }
+    }
+  }
+}
+
+std::pair<std::uint64_t*, std::uint64_t> MtrPlan::LegSearch::owed(
+    std::size_t root, int l) {
+  const auto node = static_cast<std::size_t>(l);
+  const VlId down = graphs_->down_vl[node];
+  const VlId up = graphs_->up_vl[node];
+  const int ej = graphs_->ej_endpoint[node];
+  if (root < num_ep_) {
+    if (down != kInvalidVl) {
+      return {&legs_.src_downs[root], std::uint64_t{1} << down};
+    }
+    if (up != kInvalidVl) {
+      return {&legs_.src_ups[root], std::uint64_t{1} << up};
+    }
+    return {nullptr, 0};
+  }
+  if (root < num_ep_ + num_vls_) {
+    const std::size_t vl = root - num_ep_;
+    if (up != kInvalidVl) {
+      return {&legs_.mid_ups[vl], std::uint64_t{1} << up};
+    }
+    if (ej >= 0) {
+      return {&legs_.downs_to[static_cast<std::size_t>(ej)],
+              std::uint64_t{1} << vl};
+    }
+    return {nullptr, 0};
+  }
+  if (ej >= 0) {
+    return {&legs_.ups_to[static_cast<std::size_t>(ej)],
+            std::uint64_t{1} << (root - num_ep_ - num_vls_)};
+  }
+  return {nullptr, 0};
+}
+
+std::uint64_t MtrPlan::LegSearch::reach_ups(std::size_t s) const {
+  if (chiplet_[s] == kInterposer) {
+    return legs_.src_ups[s];
+  }
+  std::uint64_t ups = 0;
+  for (std::uint64_t m = downs_of(s); m != 0; m &= m - 1) {
+    ups |= legs_.mid_ups[static_cast<std::size_t>(std::countr_zero(m))];
+  }
+  return ups;
+}
+
+bool MtrPlan::LegSearch::pair_connected(std::size_t s, std::size_t d) const {
+  // Same-mesh pairs (and s == d) ride plain, unrestricted XY.
+  if (chiplet_[s] == chiplet_[d]) {
+    return true;
+  }
+  if (chiplet_[d] == kInterposer) {
+    return (downs_of(s) & legs_.downs_to[d]) != 0;
+  }
+  return (ups_[s] & mesh_vls_[d] & legs_.ups_to[d]) != 0;
+}
+
+bool MtrPlan::LegSearch::try_forbid(int a, int b) {
+  if (!connected_) {
+    return false;
+  }
+  affected_.clear();
+  const auto a_word = static_cast<std::size_t>(a / 64);
+  const std::uint64_t a_bit = std::uint64_t{1} << (a % 64);
+  const std::size_t ranges[4] = {0, num_ep_, num_ep_ + num_vls_,
+                                 start_.size()};
+  for (int g = 0; g < 3; ++g) {
+    const auto succ = graph_of(ranges[g]).successors_flat(a);
+    if (std::find(succ.begin(), succ.end(), b) == succ.end()) {
+      continue;
+    }
+    for (std::size_t root = ranges[g]; root < ranges[g + 1]; ++root) {
+      if ((visited_[root * words_ + a_word] & a_bit) != 0) {
+        affected_.push_back(root);
+      }
+    }
+  }
+
+  // Re-walk the affected roots and clear what their lost nodes owed,
+  // logging every overwritten word so a rejection can restore it.
+  walked_.resize(affected_.size() * words_);
+  undo_.clear();
+  dirty_src_.clear();
+  dirty_dst_.clear();
+  std::uint64_t dirty_mid = 0;  // descents whose reachable ascents shrank
+  for (std::size_t i = 0; i < affected_.size(); ++i) {
+    const std::size_t root = affected_[i];
+    std::uint64_t* fresh = walked_.data() + i * words_;
+    walk(root, fresh);
+    const std::uint64_t* old = visited_.data() + root * words_;
+    for (std::size_t w = 0; w < words_; ++w) {
+      for (std::uint64_t lost = old[w] & ~fresh[w]; lost != 0;
+           lost &= lost - 1) {
+        const int l = static_cast<int>(w * 64) + std::countr_zero(lost);
+        const auto [word, bit] = owed(root, l);
+        if (word == nullptr) {
+          continue;
+        }
+        undo_.emplace_back(word, *word);
+        *word &= ~bit;
+        const int ej = graphs_->ej_endpoint[static_cast<std::size_t>(l)];
+        if (root < num_ep_) {
+          mark(dirty_src_, src_flag_, root);
+        } else if (ej >= 0) {
+          mark(dirty_dst_, dst_flag_, static_cast<std::size_t>(ej));
+        } else {
+          dirty_mid |= std::uint64_t{1} << (root - num_ep_);
+        }
+      }
+    }
+  }
+  if (dirty_mid != 0) {
+    for (std::size_t s = 0; s < num_ep_; ++s) {
+      if ((downs_of(s) & dirty_mid) != 0) {
+        mark(dirty_src_, src_flag_, s);
+      }
+    }
+  }
+  for (std::size_t s : dirty_src_) {
+    undo_.emplace_back(&ups_[s], ups_[s]);
+    ups_[s] = reach_ups(s);
+  }
+
+  // Only pairs with a dirty source or destination can have lost their
+  // route.
+  bool ok = true;
+  for (std::size_t s : dirty_src_) {
+    src_flag_[s] = 0;
+    for (std::size_t d = 0; d < num_ep_ && ok; ++d) {
+      ok = pair_connected(s, d);
+    }
+  }
+  for (std::size_t d : dirty_dst_) {
+    dst_flag_[d] = 0;
+    for (std::size_t s = 0; s < num_ep_ && ok; ++s) {
+      ok = pair_connected(s, d);
+    }
+  }
+  if (ok) {
+    for (std::size_t i = 0; i < affected_.size(); ++i) {
+      std::copy_n(walked_.data() + i * words_, words_,
+                  visited_.data() + affected_[i] * words_);
+    }
+  } else {
+    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+      *it->first = it->second;
+    }
+  }
+  return ok;
 }
 
 void MtrPlan::build_pair_combos(const LegTables& legs) {
