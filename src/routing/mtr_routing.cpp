@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
+#include <optional>
 
 #include "common/simd.hpp"
 
@@ -223,16 +224,14 @@ bool MtrPlan::connectivity_preserved() const {
   return true;
 }
 
-bool MtrPlan::try_synthesize(const SynthesisGraphs& graphs,
-                             const LegSearch& initial, Rng* shuffle,
-                             LegSearch& search) {
+std::optional<MtrPlan::LegTables> MtrPlan::try_synthesize(
+    const SynthesisGraphs& graphs, LegSearch search, Rng* shuffle) {
   // Greedy cycle breaking: while the channel turn graph has a cycle, forbid
   // one restrictable turn on it whose removal keeps every endpoint pair
   // connected. Cycles cannot live inside a single mesh (XY is acyclic), so
   // every cycle crosses a vertical channel and offers restrictable turns.
   std::fill(forbidden_.begin(), forbidden_.end(), 0);
   restricted_turns_ = 0;
-  search = initial;
   // The allowed channel turns: an accepted restriction erases its one edge
   // in place, so successor order - and with it the cycle is_acyclic
   // reports - is that of the adjacency rebuilt under the restriction set.
@@ -268,10 +267,10 @@ bool MtrPlan::try_synthesize(const SynthesisGraphs& graphs,
       flag = 0;
     }
     if (!restricted) {
-      return false;  // greedy wedged itself; caller restarts with a shuffle
+      return std::nullopt;  // greedy wedged; caller restarts with a shuffle
     }
   }
-  return true;
+  return std::move(search).take_legs();
 }
 
 MtrPlan::LegTables MtrPlan::synthesize_restrictions(
@@ -283,14 +282,13 @@ MtrPlan::LegTables MtrPlan::synthesize_restrictions(
   // Every try starts from the walks of the empty restriction set.
   forbidden_.assign(graphs.port.size() * kNumPorts, 0);
   const LegSearch initial(*this, graphs);
-  LegSearch search = initial;
-  if (try_synthesize(graphs, initial, nullptr, search)) {
-    return std::move(search).take_legs();
+  if (auto legs = try_synthesize(graphs, initial, nullptr)) {
+    return std::move(*legs);
   }
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     Rng rng(seed);
-    if (try_synthesize(graphs, initial, &rng, search)) {
-      return std::move(search).take_legs();
+    if (auto legs = try_synthesize(graphs, initial, &rng)) {
+      return std::move(*legs);
     }
   }
   check(false,

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "routing/line_graph.hpp"
@@ -120,8 +121,10 @@ class MtrPlan {
   }
   /// Runs synthesis and returns the leg tables of the final restriction set.
   LegTables synthesize_restrictions(const SynthesisGraphs& graphs);
-  bool try_synthesize(const SynthesisGraphs& graphs, const LegSearch& initial,
-                      Rng* shuffle, LegSearch& search);
+  /// One greedy try from `search`'s walks; the final leg tables, or
+  /// nullopt when the greedy order wedges.
+  std::optional<LegTables> try_synthesize(const SynthesisGraphs& graphs,
+                                          LegSearch search, Rng* shuffle);
   void build_route_tables();
   void build_pair_combos(const LegTables& legs);
   bool connectivity_preserved() const;

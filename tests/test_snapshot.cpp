@@ -12,6 +12,7 @@
 // run that finishes cleanly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <filesystem>
 #include <random>
@@ -279,6 +280,39 @@ std::vector<std::uint8_t> reframe(std::vector<std::uint8_t> image) {
         static_cast<std::uint8_t>(sum >> (8 * i));
   }
   return image;
+}
+
+TEST(Snapshot, FaultSetWordsAreRangeChecked) {
+  // The surgeon's fault set is stored as its word count, then its words.
+  // A count that does not fit the topology, or a bit past its last VL
+  // channel, is rejected.
+  const Scenario& s = kScenarios[5];  // deft_table_f4
+  ASSERT_EQ(ctx4().topo().num_vl_channels(), 32);
+  const VlFaultSet faults = grid_fault_pattern(ctx4(), s.fault_count);
+  const std::vector<std::uint8_t> image = snapshot_at(s, 650);
+  std::vector<std::uint8_t> encoded(16, 0);  // count 1, then the word
+  encoded[0] = 1;
+  for (std::size_t i = 0; i < 8; ++i) {
+    encoded[8 + i] = static_cast<std::uint8_t>(faults.word(0) >> (8 * i));
+  }
+  const auto at =
+      std::search(image.begin(), image.end(), encoded.begin(), encoded.end());
+  ASSERT_NE(at, image.end());
+  ASSERT_EQ(std::search(at + 1, image.end(), encoded.begin(), encoded.end()),
+            image.end());
+  const auto offset = static_cast<std::size_t>(at - image.begin());
+  const auto restore = [&s](std::vector<std::uint8_t> mutant) {
+    auto run = make_run(s);
+    restore_snapshot(reframe(std::move(mutant)), *run->sim, run->stepper,
+                     run->ws);
+  };
+  std::vector<std::uint8_t> past_last = image;
+  past_last[offset + 8 + 4] |= 0x01;  // channel 32, one past the last
+  EXPECT_THROW(restore(past_last), SnapshotError);
+  std::vector<std::uint8_t> two_words = image;
+  two_words[offset] = 2;
+  EXPECT_THROW(restore(two_words), SnapshotError);
+  EXPECT_NO_THROW(restore(image));
 }
 
 TEST(Snapshot, MutatedImagesAreRejectedOrRunCleanly) {
