@@ -148,9 +148,6 @@ class MtrPlan::LegSearch {
   std::vector<std::uint64_t> visited_;  ///< visited_[root * words_ + w]
   LegTables legs_;
   std::vector<std::uint64_t> ups_;  ///< per endpoint: reach_ups()
-  /// False when the unrestricted walks already leave a pair disconnected;
-  /// then no restriction can be accepted.
-  bool connected_ = true;
 
   // try_forbid() scratch.
   std::vector<int> queue_;
@@ -182,6 +179,10 @@ MtrPlan::MtrPlan(const Topology& topo) : topo_(&topo) {
         "MtrPlan: synthesis broke endpoint connectivity");
   build_route_tables();
   build_pair_combos(legs);
+}
+
+int MtrPlan::restricted_turn_count() const {
+  return static_cast<int>(std::count(forbidden_.begin(), forbidden_.end(), 1));
 }
 
 bool MtrPlan::turn_allowed(ChannelId in, ChannelId out) const {
@@ -231,7 +232,6 @@ std::optional<MtrPlan::LegTables> MtrPlan::try_synthesize(
   // connected. Cycles cannot live inside a single mesh (XY is acyclic), so
   // every cycle crosses a vertical channel and offers restrictable turns.
   std::fill(forbidden_.begin(), forbidden_.end(), 0);
-  restricted_turns_ = 0;
   // The allowed channel turns: an accepted restriction erases its one edge
   // in place, so successor order - and with it the cycle is_acyclic
   // reports - is that of the adjacency rebuilt under the restriction set.
@@ -260,7 +260,6 @@ std::optional<MtrPlan::LegTables> MtrPlan::try_synthesize(
       if (search.try_forbid(a, b)) {
         std::vector<int>& succ = adj[static_cast<std::size_t>(a)];
         succ.erase(std::find(succ.begin(), succ.end(), b));
-        ++restricted_turns_;
         restricted = true;
         break;
       }
@@ -459,9 +458,13 @@ MtrPlan::LegSearch::LegSearch(const MtrPlan& plan,
   for (std::size_t s = 0; s < num_ep_; ++s) {
     ups_.push_back(reach_ups(s));
   }
-  for (std::size_t s = 0; s < num_ep_ && connected_; ++s) {
-    for (std::size_t d = 0; d < num_ep_ && connected_; ++d) {
-      connected_ = pair_connected(s, d);
+  // try_forbid() re-checks only the pairs a restriction can disconnect,
+  // so every pair must start connected (XY reaches every router of a
+  // mesh, so any valid topology's unrestricted legs do).
+  for (std::size_t s = 0; s < num_ep_; ++s) {
+    for (std::size_t d = 0; d < num_ep_; ++d) {
+      check(pair_connected(s, d),
+            "MtrPlan: unrestricted leg graphs leave a pair disconnected");
     }
   }
   src_flag_.assign(num_ep_, 0);
@@ -545,9 +548,6 @@ bool MtrPlan::LegSearch::pair_connected(std::size_t s, std::size_t d) const {
 }
 
 bool MtrPlan::LegSearch::try_forbid(int a, int b) {
-  if (!connected_) {
-    return false;
-  }
   affected_.clear();
   const auto a_word = static_cast<std::size_t>(a / 64);
   const std::uint64_t a_bit = std::uint64_t{1} << (a % 64);

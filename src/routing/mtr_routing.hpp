@@ -40,7 +40,7 @@ class MtrPlan {
   bool turn_allowed(ChannelId in, ChannelId out) const;
 
   /// Number of turns removed by the synthesis.
-  int restricted_turn_count() const { return restricted_turns_; }
+  int restricted_turn_count() const;
 
   /// The final allowed-turn line graph (includes injection/ejection).
   const LineGraph& line_graph() const { return *line_graph_; }
@@ -134,7 +134,6 @@ class MtrPlan {
   /// when the turn was removed. One row per line node; the rows of the
   /// injection/ejection pseudo-channels stay clear.
   std::vector<char> forbidden_;
-  int restricted_turns_ = 0;
   std::unique_ptr<LineGraph> line_graph_;
   std::vector<int> endpoint_index_;
   /// dist_[endpoint_index][line_node]
