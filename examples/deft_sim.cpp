@@ -7,15 +7,17 @@
 //   $ ./deft_sim --dump-default > a.cfg  # start from a template
 //
 // The configuration format is documented in src/core/config_file.hpp.
-// `--shards N` overrides the config's `shards` key (results are
-// bit-identical for every shard count). When the configuration sets
-// `perf_json`, the run is timed (`repeats` wall-clock repeats, best
-// taken) and a perf-matrix-style JSON entry is written alongside the
-// normal report.
+// `--shards N` overrides the config's `shards` key: it is parsed as one
+// more `shards = N` line after the configuration's own, so it gets the
+// same range check (results are bit-identical for every shard count).
+// When the configuration sets `perf_json`, the run is timed (`repeats`
+// wall-clock repeats, best taken) and a perf-matrix-style JSON entry is
+// written alongside the normal report.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/config_file.hpp"
@@ -54,14 +56,14 @@ perf_json  =            # perf hook: write a perf-matrix JSON entry here
 int main(int argc, char** argv) {
   using namespace deft;
   const char* config_path = nullptr;
-  int shards_override = 0;
+  std::string shards_line;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--dump-default") == 0) {
       std::fputs(kDefaultConfig, stdout);
       return 0;
     }
     if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards_override = std::atoi(argv[++i]);  // validated below
+      shards_line = std::string("shards = ") + argv[++i] + "\n";
       continue;
     }
     config_path = argv[i];
@@ -69,19 +71,15 @@ int main(int argc, char** argv) {
 
   SimulationConfig config;
   try {
+    std::string text = kDefaultConfig;
     if (config_path != nullptr) {
       std::ifstream file(config_path);
       require(file.good(), std::string("cannot open ") + config_path);
-      config = parse_simulation_config(file);
-    } else {
-      config = parse_simulation_config(std::string(kDefaultConfig));
+      std::ostringstream contents;
+      contents << file.rdbuf();
+      text = contents.str();
     }
-    if (shards_override != 0) {
-      require(shards_override >= 1 && shards_override <= kMaxSimShards,
-              "--shards must be in [1, " + std::to_string(kMaxSimShards) +
-                  "]");
-      config.knobs.shards = shards_override;
-    }
+    config = parse_simulation_config(text + "\n" + shards_line);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

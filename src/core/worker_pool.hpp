@@ -10,7 +10,6 @@
 // the calling thread).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -20,62 +19,6 @@
 #include <vector>
 
 namespace deft {
-
-/// Phase synchronizer for the fused two-shard cycle loop: replaces the two
-/// std::barrier rendezvous per cycle with single-writer epoch slots. Each
-/// slot is written (release) by exactly one worker and waited on (acquire)
-/// by the other, so a full cycle costs four uncontended stores instead of
-/// two arrive-and-wait rounds through a shared barrier phase word. The
-/// serial completion step runs on worker 0 between the follower's
-/// back-phase publication and the release store; the release is therefore
-/// the only write the follower needs to observe to see every completion
-/// effect (including the stop flag) before its next front phase.
-///
-/// Epochs must be strictly increasing and identical across both workers
-/// (use the cycle ordinal, starting at 1 - slots initialize to 0).
-class TwoShardSync {
- public:
-  /// Worker `w` finished its front phase for `epoch`; returns once the
-  /// peer has too (the barrier-a equivalent).
-  void front_done(int w, std::uint64_t epoch) {
-    front_[w].v.store(epoch, std::memory_order_release);
-    wait_for(front_[1 - w].v, epoch);
-  }
-
-  /// Worker 1 finished its back phase; returns once worker 0 has run the
-  /// completion step and published the release (the barrier-b equivalent,
-  /// follower side).
-  void follower_back_done(std::uint64_t epoch) {
-    back_.v.store(epoch, std::memory_order_release);
-    wait_for(release_.v, epoch);
-  }
-
-  /// Worker 0: wait for worker 1's back phase before the completion step.
-  void wait_follower_back(std::uint64_t epoch) { wait_for(back_.v, epoch); }
-
-  /// Worker 0: completion step done, release worker 1 into the next cycle.
-  void publish_release(std::uint64_t epoch) {
-    release_.v.store(epoch, std::memory_order_release);
-  }
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> v{0};
-  };
-
-  static void wait_for(const std::atomic<std::uint64_t>& slot,
-                       std::uint64_t target) {
-    for (int spin = 0; slot.load(std::memory_order_acquire) < target; ++spin) {
-      if (spin >= 64) {
-        std::this_thread::yield();
-      }
-    }
-  }
-
-  Slot front_[2];
-  Slot back_;
-  Slot release_;
-};
 
 class WorkerPool {
  public:

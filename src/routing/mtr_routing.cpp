@@ -5,8 +5,6 @@
 #include <deque>
 #include <optional>
 
-#include "common/simd.hpp"
-
 #include "routing/cdg.hpp"
 
 namespace deft {
@@ -844,16 +842,15 @@ void MtrRouting::rebuild_route_cache() {
   const VcMask vcs = all_vcs_mask(num_vcs_);
   for (std::size_t d = 0; d < endpoints.size(); ++d) {
     const NodeId dst = endpoints[d];
-    // The row scan is the rebuild's hot filter: most line nodes of most
-    // rows are 0 or kUnreachable and contribute no entry. The SIMD row
-    // kernel tests 8 distances at once against exactly the predicate the
-    // scalar branch used, and set bits are consumed in ascending line-node
-    // order - the order of the plain loop - so the built cache is
-    // byte-identical. `row` is the very storage dist() indexes, hence
-    // `here` below equals dist(l, dst).
+    // `row` is the very storage dist() indexes, hence `here` below equals
+    // dist(l, dst); line nodes at distance 0 or kUnreachable get no entry.
     const std::uint16_t* row =
         fault_dist_.empty() ? plan_->distance_row(d) : fault_dist_.data() + d * n;
-    const auto build_entry = [&](std::size_t l, std::uint16_t here) {
+    for (std::size_t l = 0; l < n; ++l) {
+      const std::uint16_t here = row[l];
+      if (here == 0 || here == MtrPlan::kUnreachable) {
+        continue;
+      }
       RouteEntry& entry = route_cache_[d * n + l];
       entry.decision.vcs = vcs;
       for (int s : graph.successors_flat(static_cast<int>(l))) {
@@ -874,20 +871,6 @@ void MtrRouting::rebuild_route_cache() {
         entry.decision.out_port = Port::local;  // ejection node of dst
       } else if (entry.count == 1) {
         entry.decision.out_port = static_cast<Port>(entry.ports[0]);
-      }
-    };
-    std::size_t l = 0;
-    for (; l + 8 <= n; l += 8) {
-      for (std::uint32_t mask = simd::routable_mask8(row + l); mask != 0;
-           mask &= mask - 1) {
-        const std::size_t j = l + static_cast<std::size_t>(
-                                      std::countr_zero(mask));
-        build_entry(j, row[j]);
-      }
-    }
-    for (; l < n; ++l) {  // scalar tail: rows are rarely multiples of 8
-      if (row[l] != 0 && row[l] != MtrPlan::kUnreachable) {
-        build_entry(l, row[l]);
       }
     }
   }

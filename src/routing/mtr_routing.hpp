@@ -52,8 +52,8 @@ class MtrPlan {
 
   /// The full distance row of destination endpoint index `d` (one uint16
   /// per line node): the contiguous storage distance() reads, exposed so
-  /// the route-cache rebuild can scan it with the SIMD row kernel
-  /// (common/simd.hpp) instead of one indexed call per line node.
+  /// the route-cache rebuild can scan a row instead of making one indexed
+  /// call per line node.
   const std::uint16_t* distance_row(std::size_t d) const {
     return dist_[d].data();
   }

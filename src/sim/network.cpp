@@ -141,17 +141,18 @@ void Network::add_initial_rc_out_credits(NodeId node, int credits) {
 }
 
 RouterView Network::make_view(const RouterState& r) const {
-  // One SIMD pass over the lane-major OutputVc plane. The kernel sums all
-  // kMaxVcs lanes of each port, not just the configured num_vcs_; that is
-  // the same total because reset() zeroes the unconfigured lanes' credits
-  // and nothing ever writes them (the equivalence invariant simd.hpp and
-  // docs/performance.md document).
-  static_assert(sizeof(OutputVc) == 4 && offsetof(OutputVc, credits) == 2,
-                "port_credit_sums reads 4-byte records, credits at +2");
-  static_assert(kNumLanes == kNumPorts * kMaxVcs && kMaxVcs == 4,
-                "port_credit_sums sums 4 consecutive records per port");
+  // Sums all kMaxVcs lanes of each port, not just the configured num_vcs_;
+  // that is the same total because reset() zeroes the unconfigured lanes'
+  // credits and nothing ever writes them.
   RouterView view;
-  simd::port_credit_sums(r.out.data(), view.free_credits.data());
+  for (int p = 0; p < kNumPorts; ++p) {
+    int total = 0;
+    for (int v = 0; v < kMaxVcs; ++v) {
+      total +=
+          r.out[static_cast<std::size_t>(FlitStore::lane_of(p, v))].credits;
+    }
+    view.free_credits[static_cast<std::size_t>(p)] = total;
+  }
   return view;
 }
 

@@ -25,7 +25,6 @@
 
 #include <array>
 
-#include "common/simd.hpp"
 #include "sim/packet.hpp"
 
 namespace deft {
@@ -60,15 +59,21 @@ class FlitStore {
   }
 
   /// Bitmask of non-empty lanes (bit = lane index), read straight off the
-  /// dense count_ array in one SIMD pass. Ground truth - unlike
-  /// RouterState::occupancy it cannot go stale - and iterating its set
-  /// bits ascending visits lanes in exactly the scalar (port, VC) nested
-  /// loop order. Lanes above the configured VC count are never pushed to,
-  /// so their bits are always clear.
+  /// dense count_ array. Ground truth - unlike RouterState::occupancy it
+  /// cannot go stale - and iterating its set bits ascending visits lanes
+  /// in exactly the (port, VC) nested loop order. Lanes above the
+  /// configured VC count are never pushed to, so their bits are always
+  /// clear.
   std::uint32_t occupied_mask() const {
     static_assert(kNumLanes == 32,
                   "occupied_mask packs one bit per lane into a uint32");
-    return simd::nonzero_mask32(count_.data());
+    std::uint32_t mask = 0;
+    for (int l = 0; l < kNumLanes; ++l) {
+      if (count_[static_cast<std::size_t>(l)] != 0) {
+        mask |= std::uint32_t{1} << l;
+      }
+    }
+    return mask;
   }
 
   void push(int lane, const Flit& flit) {

@@ -573,40 +573,12 @@ void shard_phase(ShardedState& st, int w) {
   }
 }
 
-/// Runs the cycle loop across one worker per shard. The caller has
-/// already performed cycle 0's prologue (initial event scheduling, the
-/// cycle-0 draw/materialization, the first RC tick).
-///
-/// Two shards use fused phase synchronization: the generic loop's two
-/// std::barrier rendezvous per cycle become four single-writer epoch
-/// stores (TwoShardSync), roughly halving the per-cycle synchronization
-/// cost that dominates small two-shard runs. The phase structure is
-/// unchanged - front, peer-front wait, back, completion on worker 0,
-/// release - because the completion step's stop decision must still
-/// precede either worker's next front phase.
+/// Runs the cycle loop across one worker per shard, two std::barrier
+/// rendezvous per cycle. The caller has already performed cycle 0's
+/// prologue (initial event scheduling, the cycle-0 draw/materialization,
+/// the first RC tick).
 void run_sharded(ShardedState& st, WorkerPool& pool) {
   const int num_shards = static_cast<int>(st.ctx.shards.size());
-  if (num_shards == 2) {
-    TwoShardSync sync;
-    pool.run(2, [&st, &sync](int w) {
-      std::uint64_t epoch = 0;
-      while (!st.stop) {
-        ++epoch;
-        shard_phase<true>(st, w);
-        sync.front_done(w, epoch);
-        shard_phase<false>(st, w);
-        if (w == 0) {
-          sync.wait_follower_back(epoch);
-          sharded_cycle_end(st);
-          sync.publish_release(epoch);
-        } else {
-          sync.follower_back_done(epoch);
-        }
-      }
-    });
-    return;
-  }
-
   const auto completion = [&st]() noexcept { sharded_cycle_end(st); };
   std::barrier barrier_a(num_shards);
   std::barrier<std::decay_t<decltype(completion)>> barrier_b(num_shards,

@@ -50,6 +50,28 @@ TEST(FlitStore, FifoOrderAndWraparoundPerLane) {
   }
 }
 
+TEST(FlitStore, OccupiedMaskTracksPushPop) {
+  // One bit per non-empty lane, up to lane 31, cleared only when the
+  // lane's last flit leaves.
+  FlitStore store;
+  EXPECT_EQ(store.occupied_mask(), 0u);
+  Flit flit{};
+  const int a = FlitStore::lane_of(2, 1);
+  const int b = FlitStore::lane_of(7, 3);
+  store.push(a, flit);
+  store.push(b, flit);
+  store.push(b, flit);
+  EXPECT_EQ(store.occupied_mask(),
+            (std::uint32_t{1} << a) | (std::uint32_t{1} << b));
+  store.pop(b);
+  EXPECT_EQ(store.occupied_mask(),
+            (std::uint32_t{1} << a) | (std::uint32_t{1} << b));
+  store.pop(b);
+  EXPECT_EQ(store.occupied_mask(), std::uint32_t{1} << a);
+  store.pop(a);
+  EXPECT_EQ(store.occupied_mask(), 0u);
+}
+
 class NetworkUnitTest : public ::testing::Test {
  protected:
   NetworkUnitTest()
@@ -70,6 +92,88 @@ class NetworkUnitTest : public ::testing::Test {
   std::unique_ptr<RoutingAlgorithm> alg_;
   Network net_;
 };
+
+/// Delegates to `inner` but asks for the credit view on every hop, and
+/// checks each view against the per-port sum of the router's configured
+/// output-VC credits at the moment route() runs.
+class CreditViewProbe : public RoutingAlgorithm {
+ public:
+  explicit CreditViewProbe(RoutingAlgorithm& inner) : inner_(inner) {}
+
+  const char* name() const override { return inner_.name(); }
+  int num_vcs() const override { return inner_.num_vcs(); }
+  bool prepare_packet(PacketRoute& route, CounterRng* stream) override {
+    return inner_.prepare_packet(route, stream);
+  }
+  RouteDecision route(NodeId node, Port in_port, int in_vc,
+                      const PacketRoute& route,
+                      const RouterView& view) const override {
+    const RouterState& r = net->router(node);
+    for (int p = 0; p < kNumPorts; ++p) {
+      int expected = 0;
+      for (int v = 0; v < net->num_vcs(); ++v) {
+        expected +=
+            r.out[static_cast<std::size_t>(FlitStore::lane_of(p, v))].credits;
+      }
+      EXPECT_EQ(view.free_credits[static_cast<std::size_t>(p)], expected)
+          << "node " << node << " port " << p;
+    }
+    ++hops_checked;
+    return inner_.route(node, in_port, in_vc, route, view);
+  }
+  bool pair_reachable(NodeId src, NodeId dst) const override {
+    return inner_.pair_reachable(src, dst);
+  }
+  std::uint64_t pair_combo_mask(NodeId src, NodeId dst) const override {
+    return inner_.pair_combo_mask(src, dst);
+  }
+
+  const Network* net = nullptr;
+  mutable int hops_checked = 0;
+
+ private:
+  RoutingAlgorithm& inner_;
+};
+
+TEST_F(NetworkUnitTest, RouterViewSumsOutputCreditsPerPort) {
+  // MTR's credit-aware port choice is the view's only reader, and its
+  // golden digests stay the same under some wrong sums (a dropped top VC
+  // on 2-VC runs, a constant offset, an unsummed RC port), so the sums
+  // are pinned here: 4 VCs, RC-port credits on the sources and flits in
+  // flight, so every port's total is non-trivial somewhere.
+  const auto mtr = ctx_.make_algorithm(Algorithm::mtr, {}, 4);
+  CreditViewProbe probe(*mtr);
+  PacketTable packets;
+  Network net(ctx_.topo(), probe, packets, 4, 4, {});
+  probe.net = &net;
+  const Topology& topo = ctx_.topo();
+  const NodeId dst = topo.chiplet_node_at(3, 3, 3);
+  std::vector<std::pair<NodeId, PacketId>> sources;
+  for (NodeId src : {topo.chiplet_node_at(0, 0, 0),
+                     topo.chiplet_node_at(0, 1, 0),
+                     topo.chiplet_node_at(1, 2, 1)}) {
+    net.add_initial_rc_out_credits(src, 5);
+    PacketRoute route;
+    route.src = src;
+    route.dst = dst;
+    ASSERT_TRUE(probe.prepare_packet(route, nullptr));
+    sources.push_back({src, packets.create(route, 0, 8, 0, true)});
+  }
+  std::uint16_t seq = 0;
+  for (Cycle now = 0; now < 200; ++now) {
+    if (seq < 8 && net.local_free(sources[0].first, 0) > 0) {
+      for (const auto& [src, pid] : sources) {
+        net.inject_local(src, 0, {pid, seq});
+      }
+      ++seq;
+    }
+    net.step(now);
+    net.apply(now);
+  }
+  EXPECT_EQ(seq, 8);
+  EXPECT_EQ(net.flits_buffered(), 0u);
+  EXPECT_GT(probe.hops_checked, 20);
+}
 
 TEST_F(NetworkUnitTest, LocalCreditsDecreaseOnInjectAndRecoverOnForward) {
   const NodeId src = ctx_.topo().chiplet_node_at(0, 0, 0);

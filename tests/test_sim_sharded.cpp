@@ -369,7 +369,7 @@ TEST(SimShardedCounter, SixtyFourChipletGridMatchesSerial) {
   // The scale target: an 8x8 grid of 4x4 chiplets (64 chiplets, 1088
   // routers) at 8 shards must still be bit-identical to serial. Small
   // windows keep this cheap enough for the TSan job, which uses this
-  // test to race-check the fused/distributed phases at scale.
+  // test to race-check the sharded phases at scale.
   static const ExperimentContext ctx(make_grid_spec(8, 8, 4, 4));
   SimKnobs knobs;
   knobs.warmup = 100;
@@ -458,8 +458,8 @@ TEST(SimSharded, WatchdogFiresIdenticallyInEveryCycleLoop) {
   // moves, so a 3-cycle watchdog budget reads the wait as a stall and
   // declares a deadlock inside the measurement window. The decision must
   // fall on the same cycle - with the same partial statistics - in the
-  // full scan, the active-set loop, the fused two-shard handshake, the
-  // barrier loop (three shards) and a stepper paused at every cycle.
+  // full scan, the active-set loop, the sharded barrier loop (two and
+  // three shards) and a stepper paused at every cycle.
   SimKnobs knobs = golden_knobs(1);
   knobs.warmup = 100;
   knobs.measure = 400;
